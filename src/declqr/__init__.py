@@ -62,9 +62,6 @@ from .spectral import (
     CirculantSpec,
     circulant_eigenvalues,
     circulant_materialize,
-    dft_apply,
-    dft_inverse,
-    dft_matrix,
     identity_spec,
     is_circulant,
 )

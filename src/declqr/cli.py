@@ -7,6 +7,7 @@ reduction). Exit status: 0 success, 1 input error, 2 solver failure.
 """
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -48,10 +49,10 @@ def _print_report(report, out):
         _print_matrix("K", report.K, out)
 
 
-def _chamber_adjudication(system, out):
+def _chamber_adjudication(system, report, uniform_gain, out):
     """For chamber-tagged circulant files, print both candidate balance
-    conditions, the uniform-gain prediction, the oracle verdict, and their
-    consistency."""
+    conditions, the uniform-gain prediction, the oracle verdict of report,
+    and their consistency. uniform_gain() returns the file's uniform gain."""
     meta = system.model or {}
     if meta.get("name") != "chamber":
         return
@@ -65,10 +66,7 @@ def _chamber_adjudication(system, out):
     except KeyError as exc:
         raise InputError(f"chamber model tag is missing coefficient {exc}") from exc
     chamber = models.chamber_system(params)
-    a, b, q, r = system.circulant_specs()
-    c = decentral.find_uniform_gain(a, b, q, r)
-    prediction = c is not None
-    report = decentral.oracle_check(system.lqr_problem())
+    prediction = uniform_gain() is not None
     consistent = report.oracle_decentralized == prediction
     out.write("chamber adjudication:\n")
     out.write(
@@ -118,6 +116,10 @@ def _cmd_check(args, out):
     mode = args.mode
     out.write(f"check mode: {mode}\n")
 
+    @functools.cache
+    def uniform_gain():
+        return decentral.find_uniform_gain(*system.circulant_specs())
+
     if mode == "thm1":
         if system.kind != "dense":
             raise InputError("check thm1 needs a dense system file")
@@ -138,8 +140,7 @@ def _cmd_check(args, out):
         report = decentral.oracle_check(sys2.lqr_problem())
         _print_report(report, out)
     elif mode == "thm2":
-        a, b, q, r = system.circulant_specs()
-        c = decentral.find_uniform_gain(a, b, q, r)
+        c = uniform_gain()
         out.write(f"uniform gain found: {_bool(c is not None)}\n")
         if c is not None:
             out.write(f"scalar gain c: {format_float(c)}\n")
@@ -158,7 +159,7 @@ def _cmd_check(args, out):
         _print_report(report, out)
 
     if system.kind == "circulant":
-        _chamber_adjudication(system, out)
+        _chamber_adjudication(system, report, uniform_gain, out)
     return 0
 
 

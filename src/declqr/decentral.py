@@ -10,7 +10,8 @@ state that means a diagonal K. This module provides
   the coupling plus two weight-ratio identities, and the cost synthesis they
   induce),
 * a per-frequency uniform-gain search for circulant quadruples of any size,
-  specialized to a pair of balance ratios for the 2x2 circulant case,
+  exact for non-symmetric A and B, specialized to a pair of balance ratios
+  for the 2x2 circulant case,
 * the shared-root classification of two monic quadratics that underpins the
   ratio conditions.
 
@@ -334,28 +335,36 @@ def _frequency_data(a, b, q, r):
             raise InputError(
                 f"frequency-singular: an eigenvalue of '{name}' vanishes"
             )
-    return ah, bh, qh, rh
+    for name, spec, vals in (("q", q, qh), ("r", r, rh)):
+        row = spec.first_row
+        odd = row - np.roll(row[::-1], 1)
+        if np.linalg.norm(odd) > 1e-10 * max(1.0, np.linalg.norm(row)):
+            raise InputError(f"'{name}' must be symmetric (first row even)")
+        if np.min(vals.real) <= 0:
+            raise InputError(f"'{name}' must be positive definite")
+    return ah, bh, qh.real, rh.real
 
 
 def uniform_gain_candidates(a, b, q, r):
-    """Per-frequency stabilizing gain candidates for a circulant quadruple.
+    """Per-frequency optimal gains K(k) of a circulant quadruple.
 
-    c(k) = (a(k) + sqrt(a(k)^2 + b(k)^2 q(k)/r(k))) / b(k), principal branch.
-    The plus branch is the stabilizing root of the per-frequency quadratic
-    c^2 - 2 c a(k)/b(k) - q(k)/r(k) = 0 and is the only admissible witness,
-    since the LQR gain is unique.
+    K(k) = conj(b(k)) p / r(k), where p > 0 is the stabilizing root of the
+    scalar Riccati equation 2 Re a(k) p - |b(k)|^2 p^2 / r(k) + q(k) = 0:
+    K(k) = (Re a(k) + sqrt(Re a(k)^2 + |b(k)|^2 q(k)/r(k))) / b(k). This is
+    exact for complex a(k), b(k) (non-symmetric A and B); Q and R must be
+    symmetric positive definite, so that q(k) and r(k) are real and positive.
     """
     ah, bh, qh, rh = _frequency_data(a, b, q, r)
-    return (ah + np.sqrt(ah * ah + bh * bh * qh / rh)) / bh
+    return (ah.real + np.sqrt(ah.real ** 2 + np.abs(bh) ** 2 * qh / rh)) / bh
 
 
 def find_uniform_gain(a, b, q, r, tol=1e-9):
     """Real constant c with gain K = c I for the circulant quadruple, if any.
 
-    Returns c(0) when every per-frequency candidate has imaginary part within
-    UNIFORM_GAIN_IMAG_TOL and all candidates agree within tol * max(1, |c(0)|);
-    returns None otherwise. No root polishing is attempted: presence vs
-    absence is decided by these tolerances alone.
+    Returns K(0) when every per-frequency gain of uniform_gain_candidates has
+    imaginary part within UNIFORM_GAIN_IMAG_TOL and all agree within
+    tol * max(1, |K(0)|); returns None otherwise. No root polishing is
+    attempted: presence vs absence is decided by these tolerances alone.
     """
     if tol <= 0:
         raise InputError("tol must be positive")

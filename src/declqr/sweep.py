@@ -18,6 +18,7 @@ statistics.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -31,6 +32,20 @@ from .serialize import dumps_json, format_float
 CSV_COLUMNS = ("axis1", "axis2", "h2", "decentralized", "offdiag_mass", "status")
 
 
+def _number(value, what):
+    # Config values arrive from JSON: reject strings, null and booleans.
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _count(value, what):
+    x = _number(value, what)
+    if not x.is_integer():
+        raise InputError(f"{what} must be an integer, got {value!r}")
+    return int(x)
+
+
 @dataclass
 class SweepAxis:
     name: str
@@ -40,9 +55,9 @@ class SweepAxis:
     spacing: str = "log"
 
     def __post_init__(self):
-        self.lo = float(self.lo)
-        self.hi = float(self.hi)
-        self.steps = int(self.steps)
+        self.lo = _number(self.lo, f"axis '{self.name}' min")
+        self.hi = _number(self.hi, f"axis '{self.name}' max")
+        self.steps = _count(self.steps, f"axis '{self.name}' steps")
         if self.steps < 2:
             raise InputError(f"axis '{self.name}' needs at least 2 steps")
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
@@ -78,6 +93,7 @@ class SweepConfig:
     def __post_init__(self):
         if self.kind not in ("qr", "qa"):
             raise InputError("sweep kind must be 'qr' or 'qa'")
+        self.curve_samples = _count(self.curve_samples, "curve_samples")
         if self.curve_samples < 2:
             raise InputError("curve_samples must be at least 2")
 
@@ -124,7 +140,7 @@ class SweepConfig:
             kind=kind,
             axis1=axis("axis1", base.axis1),
             axis2=axis("axis2", base.axis2),
-            curve_samples=int(data.get("curve_samples", base.curve_samples)),
+            curve_samples=data.get("curve_samples", base.curve_samples),
             output=data.get("output"),
         )
 

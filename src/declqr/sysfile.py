@@ -16,11 +16,12 @@ import json
 
 import numpy as np
 
+from .decentral import circulant_lqr_problem
 from .errors import InputError
 from .lqr import LqrProblem
 from .secondorder import SecondOrderSystem
 from .serialize import dumps_json
-from .spectral import CirculantSpec, circulant_materialize
+from .spectral import CirculantSpec
 
 
 def dense_document(A, B, Q, R, model=None):
@@ -104,13 +105,7 @@ class SystemFile:
             A, B, Q, R = self.payload
             return LqrProblem(A=A, B=B, Q=Q, R=R)
         if self.kind == "circulant":
-            a, b, q, r = self.payload
-            return LqrProblem(
-                A=circulant_materialize(a),
-                B=circulant_materialize(b),
-                Q=circulant_materialize(q),
-                R=circulant_materialize(r),
-            )
+            return circulant_lqr_problem(*self.payload)
         raise InputError("second-order system files solve through 'reduce', not 'solve'")
 
     def second_order_system(self):

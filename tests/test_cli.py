@@ -13,6 +13,7 @@ from declqr.sysfile import (
     save_system,
     second_order_document,
 )
+from helpers import nonsymmetric_uniform_gain_instance
 
 
 def run_cli(args):
@@ -110,6 +111,14 @@ class TestCheck:
         assert status == 0
         assert "oracle decentralized: true" in text
 
+    def test_thm2_on_non_symmetric_ring(self, tmp_path):
+        path = tmp_path / "ring.json"
+        save_system(circulant_document(*nonsymmetric_uniform_gain_instance()), path)
+        status, text = run_cli(["check", "thm2", "--system", str(path)])
+        assert status == 0
+        assert "uniform gain found: true\nscalar gain c: 4\n" in text
+        assert "oracle decentralized: true" in text
+
 
 class TestChamberAdjudication:
     def test_both_predicates_and_consistency(self, tmp_path):
@@ -126,6 +135,22 @@ class TestChamberAdjudication:
         assert "entry balance (signed entries, a0 = -alpha0): false" in text
         assert "oracle decentralized: false" in text
         assert "consistency (oracle matches prediction): true" in text
+
+    def test_one_riccati_solve_per_check(self, tmp_path, monkeypatch):
+        import declqr.lqr
+
+        calls = []
+        solve_care = declqr.lqr.solve_care
+        monkeypatch.setattr(
+            declqr.lqr, "solve_care", lambda *args: calls.append(1) or solve_care(*args)
+        )
+        path = tmp_path / "chamber.json"
+        run_cli(["model", "chamber", "--alpha0", "3", "--alpha1", "1",
+                 "--beta0", "3", "--beta1", "1", "--out", str(path)])
+        status, text = run_cli(["check", "oracle", "--system", str(path)])
+        assert status == 0
+        assert "chamber adjudication:" in text
+        assert len(calls) == 1
 
 
 class TestModel:
@@ -217,6 +242,22 @@ class TestSweepCommand:
         cfg_path.write_text('{"kind": "nope"}')
         status, _ = run_cli(["sweep", "--config", str(cfg_path)])
         assert status == 1
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"kind": "qr", "axis1": {"steps": "x"}},
+            {"kind": "qr", "axis1": {"min": None}},
+            {"kind": "qa", "curve_samples": "x"},
+            {"kind": "qr", "axis1": {"steps": 2.7}},
+        ],
+    )
+    def test_malformed_config_field_is_input_error(self, tmp_path, capsys, cfg):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        status, _ = run_cli(["sweep", "--config", str(cfg_path)])
+        assert status == 1
+        assert "input error:" in capsys.readouterr().err
 
 
 class TestReduce:

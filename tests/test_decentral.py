@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from declqr import (
     CirculantSpec,
@@ -7,6 +9,7 @@ from declqr import (
     InputError,
     LqrProblem,
     MonicQuadratic,
+    UnstabilizableError,
     circulant_lqr_problem,
     circulant_pair_conditions,
     common_quadratic_roots,
@@ -20,9 +23,15 @@ from declqr import (
     single_station_neighborhoods,
     solve_care,
     synthesize_diagonal_cost,
+    uniform_gain_candidates,
 )
 from declqr.models import diffusion_decentralizing_cost, diffusion_operator
-from helpers import pd_symmetric_circulant_spec, uniform_gain_instance
+from helpers import (
+    eigenvalues_to_row,
+    nonsymmetric_uniform_gain_instance,
+    pd_symmetric_circulant_spec,
+    uniform_gain_instance,
+)
 
 SQRT2 = np.sqrt(2.0)
 
@@ -332,6 +341,31 @@ class TestFindUniformGain:
         with pytest.raises(InputError):
             find_uniform_gain(identity_spec(3), identity_spec(2), identity_spec(3), identity_spec(3))
 
+    def test_non_symmetric_a_with_uniform_gain(self):
+        a, b, q, r = nonsymmetric_uniform_gain_instance()
+        assert find_uniform_gain(a, b, q, r) == pytest.approx(4.0, abs=1e-9)
+        report = oracle_check(circulant_lqr_problem(a, b, q, r))
+        assert report.oracle_decentralized
+        assert np.allclose(report.K, 4.0 * np.eye(5), atol=1e-9)
+
+    def test_non_symmetric_b_without_uniform_gain(self):
+        a, _, q, r = nonsymmetric_uniform_gain_instance()
+        b = CirculantSpec([1.0, 0.4, 0.0, 0.0, 0.0])
+        assert find_uniform_gain(a, b, q, r) is None
+        report = oracle_check(circulant_lqr_problem(a, b, q, r))
+        assert not report.oracle_decentralized
+
+    def test_non_symmetric_q_rejected(self):
+        eye = identity_spec(4)
+        with pytest.raises(InputError, match="'q' must be symmetric"):
+            find_uniform_gain(eye, eye, CirculantSpec([2.0, 0.5, 0.0, 0.1]), eye)
+
+    def test_indefinite_q_rejected(self):
+        eye = identity_spec(4)
+        # Symmetric, with eigenvalues 2.6, 1, -0.6, 1.
+        with pytest.raises(InputError, match="'q' must be positive definite"):
+            find_uniform_gain(eye, eye, CirculantSpec([1.0, 0.8, 0.0, 0.8]), eye)
+
     def test_presence_matches_oracle(self):
         rng = np.random.default_rng(47)
         for _ in range(20):
@@ -426,3 +460,69 @@ class TestCirculantPairConditions:
         assert c is None
         report = oracle_check(circulant_lqr_problem(a, b, q, r))
         assert not report.oracle_decentralized
+
+
+# ---------------------------------------------------------------------------
+# Property: the per-frequency gains are the dense oracle's gain symbol
+# ---------------------------------------------------------------------------
+
+FAMILIES = ("nonsymmetric-a", "nonsymmetric-b", "mixed-sign-b", "uniform-gain")
+
+
+@st.composite
+def circulant_quadruples(draw):
+    """(family, a, b, q, r) with n in 2..9 and B nonsingular at every
+    frequency. Q and R are symmetric positive definite in every family."""
+    n = draw(st.integers(2, 9))
+    family = draw(st.sampled_from(FAMILIES))
+
+    def values(lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+    def even(symbol):
+        half = np.arange(1, n // 2 + 1)
+        symbol[n - half] = symbol[half]
+        return symbol
+
+    def from_symbol(symbol):
+        return CirculantSpec(eigenvalues_to_row(symbol))
+
+    a_row = values(-2.0, 2.0)
+    q = from_symbol(even(values(0.2, 3.0)))
+    r = from_symbol(even(values(0.2, 3.0)))
+    if family == "nonsymmetric-b":
+        # A dominant first entry keeps every |b(k)| >= 0.5.
+        b_row = values(-1.0, 1.0)
+        b_row[0] = np.copysign(0.5 + np.sum(np.abs(b_row[1:])), b_row[0])
+        b = CirculantSpec(b_row)
+    elif family == "mixed-sign-b":
+        bh = even(values(0.5, 2.5) * np.where(np.arange(n) % 2 == 0, 1.0, -1.0))
+        b = from_symbol(bh)
+    else:
+        bh = even(values(0.5, 2.5))
+        b = from_symbol(bh)
+    if family == "uniform-gain":
+        # q(k) = r(k) (c^2 - 2 c Re a(k)/b(k)) makes K = c I exactly.
+        ah = np.fft.ifft(a_row) * n
+        rh = np.real(np.fft.ifft(r.first_row) * n)
+        c = max(float(np.max(2.0 * ah.real / bh)), 0.0) + draw(st.floats(0.5, 2.0))
+        q = from_symbol(rh * (c * c - 2.0 * c * ah.real / bh))
+    return family, CirculantSpec(a_row), b, q, r
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(circulant_quadruples())
+def test_per_frequency_gains_match_dense_oracle(quadruple):
+    family, a, b, q, r = quadruple
+    try:
+        report = oracle_check(circulant_lqr_problem(a, b, q, r))
+    except UnstabilizableError:
+        assume(False)
+    assume(not 1e-6 < report.offdiag_mass <= 1e-4)
+    n = a.n
+    symbol = np.fft.ifft(report.K[0]) * n
+    gains = uniform_gain_candidates(a, b, q, r)
+    assert np.max(np.abs(gains - symbol)) <= 1e-8 * max(1.0, np.max(np.abs(symbol)))
+    assert (find_uniform_gain(a, b, q, r) is not None) == report.oracle_decentralized
+    if family == "uniform-gain":
+        assert report.oracle_decentralized

@@ -6,49 +6,10 @@ from declqr import (
     InputError,
     circulant_eigenvalues,
     circulant_materialize,
-    dft_apply,
-    dft_inverse,
-    dft_matrix,
     identity_spec,
     is_circulant,
 )
 from helpers import symmetric_circulant_row
-
-
-class TestDft:
-    def test_unit_impulse_spreads_evenly(self):
-        assert np.allclose(dft_apply([1.0, 0.0, 0.0, 0.0]), 0.5 * np.ones(4), atol=1e-15)
-
-    def test_constant_maps_to_dc_bin(self):
-        c, n = 1.7, 6
-        xhat = dft_apply(np.full(n, c))
-        expected = np.zeros(n, dtype=complex)
-        expected[0] = c * np.sqrt(n)
-        assert np.allclose(xhat, expected, atol=1e-13)
-
-    def test_round_trip(self):
-        x = np.array([1.0, 2.0])
-        assert np.allclose(dft_inverse(dft_apply(x)), x, atol=1e-12)
-
-    def test_round_trip_random(self):
-        rng = np.random.default_rng(2)
-        for n in (1, 3, 8, 17):
-            x = rng.uniform(-5, 5, n)
-            assert np.allclose(dft_inverse(dft_apply(x)), x, atol=1e-12)
-
-    def test_matches_fft(self):
-        rng = np.random.default_rng(9)
-        for n in (2, 5, 12):
-            x = rng.uniform(-1, 1, n)
-            assert np.allclose(dft_apply(x), np.fft.fft(x) / np.sqrt(n), atol=1e-12)
-
-    def test_unitary(self):
-        F = dft_matrix(7)
-        assert np.allclose(F @ np.conj(F.T), np.eye(7), atol=1e-13)
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(InputError):
-            dft_apply([])
 
 
 class TestCirculantMaterialize:
@@ -84,7 +45,9 @@ class TestCirculantEigenvalues:
         assert np.allclose(vals, [0.0, -2.0, -4.0, -2.0], atol=1e-13)
 
     def test_identity_row(self):
-        assert np.allclose(circulant_eigenvalues(identity_spec(5)), np.ones(5), atol=1e-15)
+        # The identity's first row is the unit impulse, n = 1 included.
+        for n in (1, 4, 5):
+            assert np.allclose(circulant_eigenvalues(identity_spec(n)), np.ones(n), atol=1e-15)
 
     def test_cyclic_shift_gives_roots_of_unity(self):
         vals = circulant_eigenvalues(CirculantSpec([0.0, 1.0, 0.0, 0.0]))
@@ -100,8 +63,9 @@ class TestCirculantEigenvalues:
 
     def test_matches_fft_oracle(self):
         rng = np.random.default_rng(14)
-        for n in (2, 6, 13):
-            row = rng.uniform(-2, 2, n)
+        # A constant row puts everything in the DC bin.
+        for row in [rng.uniform(-2, 2, n) for n in (2, 6, 13)] + [np.full(6, 1.7)]:
+            n = row.size
             assert np.allclose(
                 circulant_eigenvalues(CirculantSpec(row)),
                 np.fft.ifft(row) * n,
@@ -114,7 +78,7 @@ class TestCirculantEigenvalues:
             n = int(rng.integers(1, 33))
             spec = CirculantSpec(rng.uniform(-2, 2, n))
             M = circulant_materialize(spec)
-            F = dft_matrix(n)
+            F = np.fft.fft(np.eye(n)) / np.sqrt(n)
             D = F @ M @ np.conj(F.T)
             off = D - np.diag(np.diag(D))
             tol = 1e-10 * max(1.0, np.linalg.norm(M))
