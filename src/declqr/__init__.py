@@ -1,6 +1,6 @@
 """declqr: decide and design completely decentralized LQR state feedback.
 
-Solves continuous-time LQR problems with an eigensolver-free Newton-Kleinman
+Solves continuous-time LQR problems with an eigensolver-free matrix-sign
 Riccati solver, tests whether the unconstrained optimal gain respects a given
 information pattern, evaluates and synthesizes analytic decentralization
 conditions for 2x2, circulant, and second-order block systems, and sweeps

@@ -10,15 +10,15 @@ class SolverError(RuntimeError):
 
 
 class ResonantSpectrumError(SolverError):
-    """The Lyapunov operator is singular (a pair of eigenvalues of A sums to zero)."""
+    """An eigenvalue on, or within rounding of, the imaginary axis where a solve needs none."""
 
 
 class UnstabilizableError(SolverError):
-    """Stabilizing-gain construction failed: unstabilizable or ill-conditioned pair."""
+    """No stabilizing Riccati solution: an unstabilizable or ill-conditioned pair."""
 
 
 class NonconvergentError(SolverError):
-    """The Riccati iteration stopped without meeting its residual tolerance."""
+    """A sign iteration hit its step cap, or the Riccati residual missed its tolerance."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
-from .matcore import CareResult, as_matrix, require_spd, solve_care
+from .matcore import CareResult, solve_care, validate_lqr_data
 
 
 @dataclass
@@ -24,16 +23,7 @@ class LqrProblem:
     R: np.ndarray
 
     def __post_init__(self):
-        self.A = as_matrix(self.A, "A", square=True)
-        n = self.A.shape[0]
-        self.B = as_matrix(self.B, "B", rows=n)
-        m = self.B.shape[1]
-        self.Q = require_spd(self.Q, "Q")
-        if self.Q.shape[0] != n:
-            raise InputError(f"Q must be {n}x{n}, got {self.Q.shape}")
-        self.R = require_spd(self.R, "R")
-        if self.R.shape[0] != m:
-            raise InputError(f"R must be {m}x{m}, got {self.R.shape}")
+        self.A, self.B, self.Q, self.R = validate_lqr_data(self.A, self.B, self.Q, self.R)
 
     @property
     def n(self):

@@ -1,10 +1,9 @@
-"""Dense linear-algebra core: Lyapunov solves, a Newton-Kleinman Riccati solver,
-Bass stabilizing gains, and a Lyapunov-certificate stability test.
+"""Dense linear-algebra core: one matrix-sign kernel behind the Lyapunov and
+Riccati solvers and the stability test, plus Bass stabilizing gains.
 
-All matrices are real float64 numpy arrays, row-major. The Lyapunov equation is
-solved by Kronecker vectorization into an n^2 x n^2 linear system with
-partial-pivot elimination, which keeps everything eigensolver-free and is
-plenty fast at desk scale (n up to a few tens).
+The kernel is the determinant-scaled Newton iteration for the matrix sign
+function (Roberts 1971, Byers 1987) on real float64 arrays: eigensolver-free
+and O(n^3) per step.
 """
 
 from dataclasses import dataclass
@@ -19,14 +18,16 @@ from .errors import (
     UnstabilizableError,
 )
 
-# Relative step tolerance that stops the Newton-Kleinman iteration.
-CARE_STEP_TOL = 1e-12
+# Relative step that ends the sign iteration; the last step is quadratic, so
+# the returned iterate is accurate to about this step squared.
+SIGN_STEP_TOL = 1e-10
 # Acceptance bound on the Riccati residual, relative to max(1, ||Q||_F).
 CARE_RESIDUAL_TOL = 1e-8
-# Iteration cap for the Newton-Kleinman loop.
+# Step cap for every sign iteration.
 CARE_MAX_ITER = 200
-# Condition estimate above which the vectorized Lyapunov operator is treated
-# as singular (resonant spectrum).
+# Resolution limit: a spectrum within ||A||_1 / RESONANCE_COND_LIMIT of the
+# imaginary axis is not Hurwitz, and a Bass Gramian above this condition
+# number is singular.
 RESONANCE_COND_LIMIT = 1e14
 # A residual within this many machine epsilons of the Riccati expression's own
 # scale is the attainable floor: exceeding the acceptance tolerance there
@@ -77,85 +78,121 @@ def require_spd(M, name):
     return M
 
 
+def validate_lqr_data(A, B, Q, R):
+    """Validate LQR data once: finite A (n x n), B (n x m), SPD Q and R."""
+    A = as_matrix(A, "A", square=True)
+    B = as_matrix(B, "B", rows=len(A))
+    Q = require_spd(as_matrix(Q, "Q", rows=len(A), cols=len(A)), "Q")
+    R = require_spd(as_matrix(R, "R", rows=B.shape[1], cols=B.shape[1]), "R")
+    return A, B, Q, R
+
+
+def _sign(Z, F=None):
+    """(S, F, steps): sign of Z by the Newton iteration Z <- (cZ + (cZ)^{-1}) / 2,
+    c = |det Z|^{-1/N} (N = len(Z)) while the last relative step exceeds 1e-2, else 1.
+
+    Given F, the iterate is [[Z, F], [0, -Z']], whose inverse holds Z^{-1} F Z^{-T}
+    in F's place; F comes back as that block of the sign. An imaginary-axis
+    eigenvalue raises ResonantSpectrumError: as a singular iterate (zero
+    determinant, non-finite inverse, halves cancelling to 1/RESONANCE_COND_LIMIT
+    of their size) or a stall (over log2(RESONANCE_COND_LIMIT) = 46 steps above
+    1e-2; at relative distance d from the axis an eigenvalue needs log2(1/d)).
+    CARE_MAX_ITER steps raise NonconvergentError (residual: the last step).
+    """
+    step, far = np.inf, 0
+    for k in range(1, CARE_MAX_ITER + 1):
+        sign, logdet = np.linalg.slogdet(Z)
+        if sign:
+            c = np.exp(-logdet / len(Z)) if step > 1e-2 else 1.0
+            Zi = np.linalg.inv(Z)
+            Z_next = (c * Z + Zi / c) / 2.0
+            size = np.linalg.norm(Z, 1)
+        if (
+            not sign
+            or not c * size <= RESONANCE_COND_LIMIT * np.linalg.norm(Z_next, 1) < np.inf
+            or far > np.log2(RESONANCE_COND_LIMIT)
+        ):
+            raise ResonantSpectrumError("imaginary-axis eigenvalue (singular or stalled sign)")
+        step = np.linalg.norm(Z_next - Z, 1) / size
+        Z = Z_next
+        done = step <= SIGN_STEP_TOL
+        if F is not None:
+            F_next = (c * F + Zi @ F @ Zi.T / c) / 2.0
+            done = done and np.linalg.norm(F_next - F, 1) <= SIGN_STEP_TOL * np.linalg.norm(F, 1)
+            F = F_next
+        if done:
+            return Z, F, k
+        far += step > 1e-2
+    raise NonconvergentError(
+        f"nonconvergent: sign iteration at relative step {step:.3e} after {CARE_MAX_ITER} steps",
+        residual=step,
+    )
+
+
+def _unstable_count(A, shift):
+    """Count of eigenvalues of A right of -shift: (n + trace sign(A + shift I)) / 2."""
+    S, _, _ = _sign(A + shift * np.eye(len(A)))
+    return round((len(A) + np.trace(S)) / 2.0)
+
+
 def solve_lyapunov(A, Q):
-    """Solve A'X + XA + Q = 0 for symmetric X.
+    """Solve A'X + XA + Q = 0 for symmetric X, with A Hurwitz.
 
-    The equation is vectorized with Kronecker products and solved directly;
-    one pass of iterative refinement keeps the residual near machine precision.
-    The result is symmetrized by averaging with its transpose.
-
-    Raises ResonantSpectrumError when the vectorized operator has a condition
-    estimate above RESONANCE_COND_LIMIT (some pair of eigenvalues of A sums to
-    zero, so no / infinitely many solutions exist).
+    A is certified as in is_hurwitz; X is then read off sign([[A', Q], [0, -A]])
+    = [[-I, 2X], [0, I]] and symmetrized. Raises ResonantSpectrumError for an
+    eigenvalue within t = ||A||_1 / RESONANCE_COND_LIMIT of the imaginary axis,
+    InputError for any other non-Hurwitz A, NonconvergentError at CARE_MAX_ITER.
     """
     A = as_matrix(A, "A", square=True)
-    n = A.shape[0]
-    Q = as_matrix(Q, "Q", rows=n, cols=n)
+    Q = as_matrix(Q, "Q", rows=len(A), cols=len(A))
     if not is_symmetric(Q, tol=1e-8):
         raise InputError("Q must be symmetric")
-
-    eye = np.eye(n)
-    L = np.kron(A.T, eye) + np.kron(eye, A.T)
-    if np.linalg.cond(L) > RESONANCE_COND_LIMIT:
-        raise ResonantSpectrumError(
-            "resonant spectrum: a pair of eigenvalues of A sums to zero"
-        )
-    rhs = -Q.reshape(-1)
-    x = np.linalg.solve(L, rhs)
-    x = x + np.linalg.solve(L, rhs - L @ x)
-    X = x.reshape(n, n)
-    return (X + X.T) / 2.0
+    t = np.linalg.norm(A, 1) / RESONANCE_COND_LIMIT
+    unstable = _unstable_count(A, t)
+    # An eigenvalue within t of the axis is counted at shift t but not at -t.
+    if unstable and _unstable_count(A, -t) == unstable:
+        raise InputError("A must be Hurwitz")
+    if unstable:
+        raise ResonantSpectrumError("eigenvalue within rounding of the imaginary axis")
+    _, F, _ = _sign(A.T, Q)
+    return (F + F.T) / 4.0
 
 
 def is_hurwitz(A):
-    """Stability certificate: True iff A'X + XA = -I has an SPD solution X.
-
-    Eigenvalue-free. Marginal spectra (eigenvalues on the imaginary axis) make
-    the Lyapunov operator singular, which counts as not Hurwitz.
+    """True iff sign(A + tI) = -I, t = ||A||_1 / RESONANCE_COND_LIMIT: the shift moves
+    imaginary-axis eigenvalues, whose sign rounding would pick at random, right of
+    the axis. A singular, stalled or nonconvergent iteration is not Hurwitz.
     """
     A = as_matrix(A, "A", square=True)
     try:
-        X = solve_lyapunov(A, np.eye(A.shape[0]))
-    except ResonantSpectrumError:
+        return _unstable_count(A, np.linalg.norm(A, 1) / RESONANCE_COND_LIMIT) == 0
+    except SolverError:
         return False
-    return is_positive_definite(X)
 
 
 def bass_stabilizing_gain(A, B):
     """Closed-form stabilizing gain K0 with A - B K0 Hurwitz (Bass construction).
 
-    Returns the zero gain when A is already Hurwitz. Otherwise picks
-    beta = ||A||_F + 1, solves the shifted Gramian equation
-
-        (A + beta I) Z + Z (A + beta I)' = 2 B B',
-
-    and returns K0 = B' Z^{-1}. The closed loop is certified with is_hurwitz
-    before returning; failure of any step raises UnstabilizableError.
+    Returns the zero gain when A is already Hurwitz. Otherwise solves the
+    shifted Gramian equation (A + beta I) Z + Z (A + beta I)' = 2 B B' with
+    beta = ||A||_F + 1, and returns K0 = B' Z^{-1}, certified with is_hurwitz.
+    Failure of any step raises UnstabilizableError.
     """
     A = as_matrix(A, "A", square=True)
     n = A.shape[0]
     B = as_matrix(B, "B", rows=n)
-    m = B.shape[1]
     if is_hurwitz(A):
-        return np.zeros((m, n))
-
-    beta = np.linalg.norm(A) + 1.0
-    shifted = (A + beta * np.eye(n)).T
+        return np.zeros((B.shape[1], n))
     try:
-        Z = solve_lyapunov(shifted, -2.0 * B @ B.T)
-    except ResonantSpectrumError as exc:
-        raise UnstabilizableError(
-            "unstabilizable or ill-conditioned pair: shifted Gramian solve failed"
-        ) from exc
-    if not is_positive_definite(Z) or np.linalg.cond(Z) > RESONANCE_COND_LIMIT:
-        raise UnstabilizableError(
-            "unstabilizable or ill-conditioned pair: shifted Gramian is singular"
-        )
-    K0 = np.linalg.solve(Z, B).T
-    if not is_hurwitz(A - B @ K0):
-        raise UnstabilizableError(
-            "unstabilizable or ill-conditioned pair: Bass gain failed the stability certificate"
-        )
+        # -(A + beta I)' is Hurwitz: beta exceeds the spectral radius of A.
+        Z = solve_lyapunov(-(A + (np.linalg.norm(A) + 1.0) * np.eye(n)).T, 2.0 * B @ B.T)
+        if not is_positive_definite(Z) or np.linalg.cond(Z) > RESONANCE_COND_LIMIT:
+            raise SolverError("shifted Gramian is singular")
+        K0 = np.linalg.solve(Z, B).T
+        if not is_hurwitz(A - B @ K0):
+            raise SolverError("Bass gain failed the stability certificate")
+    except SolverError as exc:
+        raise UnstabilizableError(f"unstabilizable or ill-conditioned pair: {exc}") from exc
     return K0
 
 
@@ -165,7 +202,7 @@ class CareResult:
 
     P is symmetric positive definite, K = R^{-1} B' P, residual is the
     Frobenius norm of A'P + PA - P B R^{-1} B' P + Q, and iterations counts
-    the Newton-Kleinman steps taken.
+    the sign steps taken on the Hamiltonian.
     """
 
     P: np.ndarray
@@ -175,81 +212,53 @@ class CareResult:
 
 
 def solve_care(A, B, Q, R):
-    """Solve the continuous algebraic Riccati equation
+    """Solve A'P + PA - P B R^{-1} B' P + Q = 0 for the stabilizing SPD P.
 
-        A'P + PA - P B R^{-1} B' P + Q = 0
+    A, B are (n, n) and (n, m); Q, R are SPD weights. Returns a CareResult.
+    With G = B R^{-1} B', the sign W of the balanced Hamiltonian [[A, -rho G],
+    [-Q / rho, -A']] negates its stable subspace [I; P / rho], read off (W + I)
+    by least squares. Two Newton (Kleinman) steps P += dP polish P, where
+    (A - BK)' dP + dP (A - BK) + D(P) = 0 for the defect D(P).
 
-    for the stabilizing positive definite P, by Newton-Kleinman iteration.
-
-    Parameters
-    ----------
-    A, B : (n, n) and (n, m) arrays.
-    Q, R : symmetric positive definite weights, (n, n) and (m, m).
-
-    Returns
-    -------
-    CareResult with P, K = R^{-1} B' P, the Riccati residual, and the
-    iteration count.
-
-    Raises
-    ------
-    InputError for bad shapes or indefinite weights, UnstabilizableError when
-    no stabilizing initial gain can be constructed, NonconvergentError when
-    the iteration stalls or the final residual exceeds
-    CARE_RESIDUAL_TOL * max(1, ||Q||_F).
-
-    Notes
-    -----
-    Each sweep solves the closed-loop Lyapunov equation
-
-        (A - B K)' P + P (A - B K) + Q + K' R K = 0
-
-    and refreshes K = R^{-1} B' P; iteration stops when the step
-    ||P_next - P||_F drops below CARE_STEP_TOL * max(1, ||P||_F). Starting
-    from a stabilizing gain keeps every iterate stabilizing, so the final
-    closed loop passes the Hurwitz certificate by construction (verified).
+    Raises InputError for bad data; UnstabilizableError when the Hamiltonian
+    or a closed loop has an imaginary-axis eigenvalue, the solution does not
+    stabilize, or the pair's residual floor exceeds the tolerance;
+    NonconvergentError when a sign iteration hits CARE_MAX_ITER or the
+    residual exceeds CARE_RESIDUAL_TOL * max(1, ||Q||_F).
     """
-    A = as_matrix(A, "A", square=True)
+    A, B, Q, R = validate_lqr_data(A, B, Q, R)
     n = A.shape[0]
-    B = as_matrix(B, "B", rows=n)
-    m = B.shape[1]
-    Q = require_spd(Q, "Q")
-    if Q.shape[0] != n:
-        raise InputError(f"Q must be {n}x{n}, got {Q.shape}")
-    R = require_spd(R, "R")
-    if R.shape[0] != m:
-        raise InputError(f"R must be {m}x{m}, got {R.shape}")
+    try:
+        G = B @ np.linalg.solve(R, B.T)
+        rho = np.sqrt(np.linalg.norm(Q, 1) / np.linalg.norm(G, 1)) if G.any() else 1.0
+        W, _, iterations = _sign(np.block([[A, -rho * G], [-Q / rho, -A.T]]))
+        W += np.eye(2 * n)  # (W + I) [I; P / rho] = 0
+        P = rho * np.linalg.lstsq(W[:, n:], -W[:, :n], rcond=None)[0]
+        P = (P + P.T) / 2.0
+        for newton in range(3):
+            # Quadratic term as (PB) R^{-1} (PB)': P G P loses digits at large ||P||.
+            PB = P @ B
+            K = np.linalg.solve(R, PB.T)
+            quad = PB @ K
+            defect = A.T @ P + P @ A - quad + Q
+            if newton < 2:
+                P = P + solve_lyapunov(A - B @ K, (defect + defect.T) / 2.0)
+    except (InputError, ResonantSpectrumError) as exc:
+        raise UnstabilizableError(
+            "unstabilizable or ill-conditioned pair: no stabilizing solution"
+        ) from exc
 
-    K = bass_stabilizing_gain(A, B)
-    P = None
-    iterations = 0
-    for iterations in range(1, CARE_MAX_ITER + 1):
-        P_next = solve_lyapunov(A - B @ K, Q + K.T @ R @ K)
-        K = np.linalg.solve(R, B.T @ P_next)
-        if P is not None and np.linalg.norm(P_next - P) <= CARE_STEP_TOL * max(
-            1.0, np.linalg.norm(P)
-        ):
-            P = P_next
-            break
-        P = P_next
-
-    quad = P @ B @ np.linalg.solve(R, B.T @ P)
-    residual = float(np.linalg.norm(A.T @ P + P @ A - quad + Q))
+    residual = float(np.linalg.norm(defect))
     if residual > CARE_RESIDUAL_TOL * max(1.0, np.linalg.norm(Q)):
-        scale = (
-            2.0 * np.linalg.norm(A.T @ P)
-            + np.linalg.norm(quad)
-            + np.linalg.norm(Q)
-        )
+        scale = 2.0 * np.linalg.norm(A.T @ P) + np.linalg.norm(quad) + np.linalg.norm(Q)
         if residual <= RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps * scale:
             raise UnstabilizableError(
-                "unstabilizable or ill-conditioned pair: the attainable residual "
-                f"floor ({residual:.3e} at solution scale {scale:.3e}) exceeds "
-                "the acceptance tolerance"
+                "unstabilizable or ill-conditioned pair: the attainable residual floor "
+                f"({residual:.3e} at solution scale {scale:.3e}) exceeds the acceptance tolerance"
             )
         raise NonconvergentError(
             f"nonconvergent: residual {residual:.3e} exceeds tolerance after "
-            f"{iterations} iterations",
+            f"{iterations} sign steps",
             residual=residual,
         )
     if not is_positive_definite(P):

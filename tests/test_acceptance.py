@@ -108,7 +108,7 @@ def test_criterion_04_randomized_sign_condition_soundness():
         if not rep.oracle_decentralized or rep.offdiag_mass > 1e-6:
             failures += 1
     elapsed = time.perf_counter() - t0
-    ok = failures == 0 and elapsed < 5.0
+    ok = failures == 0 and elapsed < 1.0
     assert report(
         4, ok, f"200 draws, {failures} failures, worst mass {worst:.1e}, {elapsed:.2f} s"
     )
@@ -213,7 +213,7 @@ def test_criterion_09_sweep_properties():
     curve_h2 = [s.h2 for s in qa.curve]
     variation = (max(curve_h2) - min(curve_h2)) / min(curve_h2)
     elapsed = time.perf_counter() - t0
-    ok = center.decentralized and interior and curve_ok and variation > 0.10 and elapsed < 30.0
+    ok = center.decentralized and interior and curve_ok and variation > 0.10 and elapsed < 5.0
     assert report(
         9,
         ok,
