@@ -32,7 +32,7 @@ from .errors import (
     SolverError,
     UnstabilizableError,
 )
-from .lqr import LqrProblem, LqrSolution, closed_loop, solve_lqr
+from .lqr import LqrProblem, closed_loop, solve_lqr
 from .matcore import (
     CareResult,
     bass_stabilizing_gain,
@@ -65,6 +65,6 @@ from .spectral import (
     identity_spec,
     is_circulant,
 )
-from .sweep import SweepAxis, SweepConfig, SweepResult, run_sweep, sweep_qa_with_curve, sweep_qr
+from .sweep import SweepAxis, SweepConfig, SweepResult, run_sweep
 
 __version__ = "0.1.0"

@@ -41,12 +41,9 @@ def _print_report(report, out):
                     for k, v in witness.items()
                 ) + ")"
             out.write(f"condition {name}: {_bool(holds)}{extra}\n")
-    if report.scalar_gain_c is not None:
-        out.write(f"scalar gain c: {format_float(report.scalar_gain_c)}\n")
     out.write(f"oracle decentralized: {_bool(report.oracle_decentralized)}\n")
     out.write(f"offdiag mass: {format_float(report.offdiag_mass)}\n")
-    if report.K is not None:
-        _print_matrix("K", report.K, out)
+    _print_matrix("K", report.K, out)
 
 
 def _chamber_adjudication(system, report, uniform_gain, out):
@@ -88,8 +85,8 @@ def _cmd_solve(args, out):
     _print_matrix("K", sol.K, out)
     out.write(f"h2: {format_float(sol.h2)}\n")
     out.write(f"h2_squared: {format_float(sol.h2_squared)}\n")
-    out.write(f"residual: {format_float(sol.care.residual)}\n")
-    out.write(f"iterations: {sol.care.iterations}\n")
+    out.write(f"residual: {format_float(sol.residual)}\n")
+    out.write(f"iterations: {sol.iterations}\n")
     _print_matrix("closed_loop", closed_loop(prob, sol), out)
     return 0
 

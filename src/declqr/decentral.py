@@ -33,12 +33,13 @@ from .spectral import CirculantSpec, circulant_eigenvalues, circulant_materializ
 
 # Relative tolerance for analytic ratio identities.
 RATIO_TOL = 1e-10
-# Gain-sparsity tolerance used by the numeric oracle.
+# Gain-sparsity tolerance of every pattern test.
 ORACLE_TOL = 1e-6
-# Default gain-sparsity tolerance for direct pattern tests.
-PATTERN_TOL = 1e-8
-# Imaginary parts above this disqualify a per-frequency gain candidate.
-UNIFORM_GAIN_IMAG_TOL = 1e-9
+# Imaginary parts above this, or relative spreads above it, disqualify the
+# per-frequency gains as one uniform real gain.
+UNIFORM_GAIN_TOL = 1e-9
+# Relative tolerance of the shared-root classification of two quadratics.
+SHARED_ROOT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -73,24 +74,24 @@ def normalize_neighborhoods(neighborhoods, n_inputs, n_states):
     return nbhd
 
 
-def pattern_decentralized(K, neighborhoods, tol=PATTERN_TOL):
+def pattern_decentralized(K, neighborhoods):
     """Test whether K conforms to the neighborhood sparsity pattern.
 
     Returns (conforms, offdiag_mass). conforms is True when every entry
-    K[i, j] with j outside N_i satisfies |K[i, j]| <= tol * max(1, ||K||_F);
+    K[i, j] with j outside N_i satisfies |K[i, j]| <= ORACLE_TOL * max(1, ||K||_F);
     offdiag_mass is the Frobenius norm of the off-pattern part divided by
     ||K||_F (0 for a zero gain).
     """
     K = as_matrix(K, "K")
-    if tol <= 0:
-        raise InputError("tol must be positive")
     m, n = K.shape
     nbhd = normalize_neighborhoods(neighborhoods, m, n)
     off_mask = np.ones((m, n), dtype=bool)
     for i, nb in enumerate(nbhd):
         off_mask[i, sorted(nb)] = False
     off = K[off_mask]
-    conforms = bool(off.size == 0 or np.max(np.abs(off)) <= tol * max(1.0, np.linalg.norm(K)))
+    conforms = bool(
+        off.size == 0 or np.max(np.abs(off)) <= ORACLE_TOL * max(1.0, np.linalg.norm(K))
+    )
     k_norm = np.linalg.norm(K)
     mass = float(np.linalg.norm(off) / k_norm) if k_norm > 0 else 0.0
     return conforms, mass
@@ -98,22 +99,23 @@ def pattern_decentralized(K, neighborhoods, tol=PATTERN_TOL):
 
 @dataclass
 class DecentralReport:
-    """Verdict bundle: numeric-oracle decision, off-pattern mass, analytic
-    condition results as (name, holds, witness) triples, the shared scalar
-    gain c when one exists, and the solved gain itself."""
+    """Verdict bundle: the numeric-oracle decision and off-pattern mass of the
+    judged gain K, analytic condition results as (name, holds, witness)
+    triples, and h2 = sqrt(trace P) of the solve that oracle_check judged."""
 
     oracle_decentralized: bool
     offdiag_mass: float
+    K: np.ndarray
     analytic_verdicts: list = field(default_factory=list)
-    scalar_gain_c: Optional[float] = None
-    K: Optional[np.ndarray] = None
+    h2: Optional[float] = None
 
 
-def oracle_check(prob, neighborhoods=None, tol=ORACLE_TOL):
+def oracle_check(prob, neighborhoods=None):
     """Solve prob and judge the gain against the neighborhood pattern.
 
-    neighborhoods defaults to single-station sets, which requires one input
-    per state. Solver errors propagate.
+    This is the one solve-then-judge path: the CLI checks and every sweep
+    point go through it. neighborhoods defaults to single-station sets, which
+    requires one input per state. Solver errors propagate.
     """
     if neighborhoods is None:
         if prob.m != prob.n:
@@ -123,11 +125,12 @@ def oracle_check(prob, neighborhoods=None, tol=ORACLE_TOL):
             )
         neighborhoods = single_station_neighborhoods(prob.n)
     sol = solve_lqr(prob)
-    decentralized, mass = pattern_decentralized(sol.K, neighborhoods, tol)
+    decentralized, mass = pattern_decentralized(sol.K, neighborhoods)
     return DecentralReport(
         oracle_decentralized=decentralized,
         offdiag_mass=mass,
         K=sol.K,
+        h2=sol.h2,
     )
 
 
@@ -151,19 +154,20 @@ def approx_equal(u, v, tol):
     return abs(u - v) <= tol * max(1.0, abs(u), abs(v))
 
 
-def common_quadratic_roots(f, g, tol=1e-9):
+def common_quadratic_roots(f, g):
     """Classify the root overlap of two monic quadratics.
 
-    Returns ("both", None) when the coefficient pairs agree within tol,
-    ("one", alpha) when exactly one root is shared, and ("none", None)
-    otherwise. The shared root comes from the two elimination formulas
+    Returns ("both", None) when the coefficient pairs agree within
+    SHARED_ROOT_TOL, ("one", alpha) when exactly one root is shared, and
+    ("none", None) otherwise. The shared root comes from the two elimination
+    formulas
 
         alpha = (beta1 gamma2 - beta2 gamma1) / (gamma1 - gamma2)
               = (gamma1 - gamma2) / (beta2 - beta1),
 
-    which must agree within tol and satisfy both quadratics within tol. Equal
-    constant terms with distinct linear terms only share x = 0, and only when
-    that constant term is itself zero.
+    which must agree within SHARED_ROOT_TOL and satisfy both quadratics within
+    it. Equal constant terms with distinct linear terms only share x = 0, and
+    only when that constant term is itself zero.
     """
     b1, g1 = complex(f.beta), complex(f.gamma)
     b2, g2 = complex(g.beta), complex(g.gamma)
@@ -171,6 +175,7 @@ def common_quadratic_roots(f, g, tol=1e-9):
         if not (math.isfinite(value.real) and math.isfinite(value.imag)):
             raise InputError(f"{name} is not finite")
 
+    tol = SHARED_ROOT_TOL
     if approx_equal(b1, b2, tol) and approx_equal(g1, g2, tol):
         return "both", None
     if approx_equal(g1, g2, tol):
@@ -358,21 +363,20 @@ def uniform_gain_candidates(a, b, q, r):
     return (ah.real + np.sqrt(ah.real ** 2 + np.abs(bh) ** 2 * qh / rh)) / bh
 
 
-def find_uniform_gain(a, b, q, r, tol=1e-9):
+def find_uniform_gain(a, b, q, r):
     """Real constant c with gain K = c I for the circulant quadruple, if any.
 
     Returns K(0) when every per-frequency gain of uniform_gain_candidates has
-    imaginary part within UNIFORM_GAIN_IMAG_TOL and all agree within
-    tol * max(1, |K(0)|); returns None otherwise. No root polishing is
-    attempted: presence vs absence is decided by these tolerances alone.
+    imaginary part within UNIFORM_GAIN_TOL and all agree within
+    UNIFORM_GAIN_TOL * max(1, |K(0)|); returns None otherwise. No root
+    polishing is attempted: presence vs absence is decided by these
+    tolerances alone.
     """
-    if tol <= 0:
-        raise InputError("tol must be positive")
     ch = uniform_gain_candidates(a, b, q, r)
-    if np.max(np.abs(ch.imag)) > UNIFORM_GAIN_IMAG_TOL:
+    if np.max(np.abs(ch.imag)) > UNIFORM_GAIN_TOL:
         return None
     c0 = ch[0]
-    if np.max(np.abs(ch - c0)) > tol * max(1.0, abs(c0)):
+    if np.max(np.abs(ch - c0)) > UNIFORM_GAIN_TOL * max(1.0, abs(c0)):
         return None
     return float(c0.real)
 

@@ -1,16 +1,17 @@
 """LQR problem container and solve wrapper.
 
-The closed-loop performance number reported here is trace(P): the squared H2
-norm of the loop when a unit-intensity disturbance enters every state and the
-performance output stacks Q^{1/2} x over R^{1/2} u. Under that convention it
-coincides with the optimal quadratic regulator cost.
+solve_lqr returns the solver's own CareResult. Its performance number
+h2_squared = trace(P) is the squared H2 norm of the closed loop when a
+unit-intensity disturbance enters every state and the performance output
+stacks Q^{1/2} x over R^{1/2} u. Under that convention it coincides with the
+optimal quadratic regulator cost.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import CareResult, solve_care, validate_lqr_data
+from .matcore import solve_care, validate_lqr_data
 
 
 @dataclass
@@ -34,32 +35,11 @@ class LqrProblem:
         return self.B.shape[1]
 
 
-@dataclass
-class LqrSolution:
-    """Riccati solve artifacts plus the squared closed-loop H2 norm trace(P)."""
-
-    care: CareResult
-    h2_squared: float
-
-    @property
-    def P(self):
-        return self.care.P
-
-    @property
-    def K(self):
-        return self.care.K
-
-    @property
-    def h2(self):
-        return float(np.sqrt(self.h2_squared))
-
-
 def solve_lqr(prob):
-    """Solve the Riccati equation for prob and attach h2_squared = trace(P)."""
-    care = solve_care(prob.A, prob.B, prob.Q, prob.R)
-    return LqrSolution(care=care, h2_squared=float(np.trace(care.P)))
+    """Solve the Riccati equation of prob; returns a matcore.CareResult."""
+    return solve_care(prob.A, prob.B, prob.Q, prob.R)
 
 
 def closed_loop(prob, sol):
     """Closed-loop state matrix A - B K for a solution of prob."""
-    return prob.A - prob.B @ sol.care.K
+    return prob.A - prob.B @ sol.K

@@ -37,13 +37,30 @@ RESONANCE_COND_LIMIT = 1e14
 RESIDUAL_FLOOR_FACTOR = 1e4
 
 
-def as_matrix(M, name="matrix", rows=None, cols=None, square=False):
-    """Convert to a 2-D float array, rejecting non-finite entries and bad shapes."""
-    A = np.asarray(M, dtype=float)
-    if A.ndim != 2:
-        raise InputError(f"{name} must be 2-D, got ndim={A.ndim}")
+def as_real_array(M, name):
+    """Convert to a finite float array, rejecting ragged nesting and
+    non-numeric, complex (a cast would drop the imaginary part) or non-finite
+    entries."""
+    try:
+        A = np.asarray(M)
+    except ValueError:
+        raise InputError(f"{name} is ragged: rows of unequal length") from None
+    if A.dtype.kind not in "biufO":
+        raise InputError(f"{name} must hold real numbers, got dtype {A.dtype}")
+    try:
+        A = A.astype(float, copy=False)
+    except (TypeError, ValueError):
+        raise InputError(f"{name} must hold real numbers") from None
     if not np.all(np.isfinite(A)):
         raise InputError(f"{name} contains NaN or Inf entries")
+    return A
+
+
+def as_matrix(M, name="matrix", rows=None, cols=None, square=False):
+    """Convert to a finite 2-D float array (as_real_array), rejecting bad shapes."""
+    A = as_real_array(M, name)
+    if A.ndim != 2:
+        raise InputError(f"{name} must be 2-D, got ndim={A.ndim}")
     r, c = A.shape
     if square and r != c:
         raise InputError(f"{name} must be square, got shape {A.shape}")
@@ -198,17 +215,26 @@ def bass_stabilizing_gain(A, B):
 
 @dataclass
 class CareResult:
-    """Stabilizing Riccati solution.
+    """Stabilizing Riccati solution, the one result of every LQR solve.
 
     P is symmetric positive definite, K = R^{-1} B' P, residual is the
     Frobenius norm of A'P + PA - P B R^{-1} B' P + Q, and iterations counts
-    the sign steps taken on the Hamiltonian.
+    the sign steps taken on the Hamiltonian. h2_squared = trace(P) is the
+    squared closed-loop H2 norm (the optimal cost, see lqr); h2 its root.
     """
 
     P: np.ndarray
     K: np.ndarray
     residual: float
     iterations: int
+
+    @property
+    def h2_squared(self):
+        return float(np.trace(self.P))
+
+    @property
+    def h2(self):
+        return float(np.sqrt(self.h2_squared))
 
 
 def solve_care(A, B, Q, R):

@@ -16,14 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decentral import (
-    DecentralReport,
-    ORACLE_TOL,
-    pattern_decentralized,
-    position_velocity_neighborhoods,
-)
+from .decentral import DecentralReport, pattern_decentralized, position_velocity_neighborhoods
 from .errors import InputError, SolverError
-from .lqr import LqrProblem
+from .lqr import LqrProblem, solve_lqr
 from .matcore import as_matrix, is_positive_definite, require_spd, solve_care
 
 
@@ -43,12 +38,9 @@ class SecondOrderSystem:
         n = self.A1.shape[0]
         self.A2 = as_matrix(self.A2, "A2", rows=n, cols=n)
         self.B0 = as_matrix(self.B0, "B0", rows=n, cols=n)
-        self.Q0 = require_spd(self.Q0, "Q0")
-        self.Q2 = require_spd(self.Q2, "Q2")
-        self.R0 = require_spd(self.R0, "R0")
-        for name in ("Q0", "Q2", "R0"):
-            if getattr(self, name).shape[0] != n:
-                raise InputError(f"{name} must be {n}x{n}")
+        self.Q0 = require_spd(as_matrix(self.Q0, "Q0", rows=n, cols=n), "Q0")
+        self.Q2 = require_spd(as_matrix(self.Q2, "Q2", rows=n, cols=n), "Q2")
+        self.R0 = require_spd(as_matrix(self.R0, "R0", rows=n, cols=n), "R0")
 
     @property
     def n(self):
@@ -59,8 +51,8 @@ class SecondOrderSystem:
 class SecondOrderSolution:
     """Reduction artifacts and the full-solve cross-check.
 
-    gain_pos = R0^{-1} B0' P1 and gain_vel = R0^{-1} B0' P2 come from the
-    two-stage reduction; full_P and full_gain from the augmented 2n solve.
+    gain_pos = R0^{-1} B0' P1 and gain_vel = R0^{-1} B0' P2 are the gains of
+    the two stage solves; full_P and full_gain from the augmented 2n solve.
     agreement_residual is the larger Frobenius gap between corresponding gain
     blocks, and corner_asymmetry records ||C - C'||_F for the full solution's
     upper-right n x n block C.
@@ -110,37 +102,27 @@ def reduce_and_solve(sys):
     if not is_positive_definite(Qbar):
         raise SolverError("stage-P2: Qbar = Q2 + P1 + P1' is not positive definite")
     care2 = _staged("stage-P2", lambda: solve_care(sys.A2, sys.B0, Qbar, sys.R0))
-    P2 = care2.P
 
-    gain_pos = np.linalg.solve(sys.R0, sys.B0.T @ P1)
-    gain_vel = np.linalg.solve(sys.R0, sys.B0.T @ P2)
-
-    full = _staged("stage-full", lambda: solve_care(*_augmented_tuple(sys)))
-    full_gain = full.K
+    full = _staged("stage-full", lambda: solve_lqr(augment(sys)))
     agreement = max(
-        float(np.linalg.norm(full_gain[:, :n] - gain_pos)),
-        float(np.linalg.norm(full_gain[:, n:] - gain_vel)),
+        float(np.linalg.norm(full.K[:, :n] - care1.K)),
+        float(np.linalg.norm(full.K[:, n:] - care2.K)),
     )
     corner = full.P[:n, n:]
     return SecondOrderSolution(
         P1=P1,
-        P2=P2,
+        P2=care2.P,
         Qbar=Qbar,
-        gain_pos=gain_pos,
-        gain_vel=gain_vel,
+        gain_pos=care1.K,
+        gain_vel=care2.K,
         full_P=full.P,
-        full_gain=full_gain,
+        full_gain=full.K,
         agreement_residual=agreement,
         corner_asymmetry=float(np.linalg.norm(corner - corner.T)),
     )
 
 
-def _augmented_tuple(sys):
-    prob = augment(sys)
-    return prob.A, prob.B, prob.Q, prob.R
-
-
-def check_second_order_decentral(solution, tol=ORACLE_TOL):
+def check_second_order_decentral(solution):
     """Judge the solved gain against neighborhoods N_i = {x_i, x'_i}.
 
     Decentralization of the 2n-column gain is equivalent to both gain blocks
@@ -150,9 +132,9 @@ def check_second_order_decentral(solution, tol=ORACLE_TOL):
     """
     n = solution.gain_pos.shape[1]
     nbhd = position_velocity_neighborhoods(n)
-    full_ok, full_mass = pattern_decentralized(solution.full_gain, nbhd, tol)
+    full_ok, full_mass = pattern_decentralized(solution.full_gain, nbhd)
     reduced = np.hstack([solution.gain_pos, solution.gain_vel])
-    red_ok, red_mass = pattern_decentralized(reduced, nbhd, tol)
+    red_ok, red_mass = pattern_decentralized(reduced, nbhd)
     scale = max(
         1.0,
         float(np.linalg.norm(solution.gain_pos)),
@@ -172,6 +154,6 @@ def check_second_order_decentral(solution, tol=ORACLE_TOL):
     return DecentralReport(
         oracle_decentralized=full_ok,
         offdiag_mass=full_mass,
-        analytic_verdicts=verdicts,
         K=solution.full_gain,
+        analytic_verdicts=verdicts,
     )

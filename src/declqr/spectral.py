@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .matcore import as_matrix
+from .matcore import as_matrix, as_real_array
 
 
 @dataclass
@@ -23,11 +23,9 @@ class CirculantSpec:
     first_row: np.ndarray
 
     def __post_init__(self):
-        row = np.asarray(self.first_row, dtype=float)
+        row = as_real_array(self.first_row, "first_row")
         if row.ndim != 1 or row.size < 1:
             raise InputError("first_row must be a nonempty 1-D sequence")
-        if not np.all(np.isfinite(row)):
-            raise InputError("first_row contains NaN or Inf entries")
         self.first_row = row
 
     @property

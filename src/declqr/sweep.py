@@ -1,6 +1,7 @@
 """Parameter sweeps of the 2x2 cost-landscape system.
 
-Two sweep kinds:
+Each sweep kind is one problem builder in PROBLEM_BUILDERS, mapping a grid
+point (axis1, axis2) to an LqrProblem; run_sweep is the one grid loop:
 
 * "qr":  vary the state-weight ratio q0/q2 (axis1) and the input-weight ratio
          gamma0/gamma2 (axis2) for the fixed plant [[1, 1], [-1, 1]];
@@ -9,27 +10,53 @@ Two sweep kinds:
          at every point; the decentralization locus q0 = 1/a2 is sampled as a
          parametric curve alongside the grid.
 
-Every grid point records h2 = sqrt(trace P), the oracle decentralization
-verdict and off-pattern mass; failed solves carry a status tag instead of a
-fabricated value. Output is a CSV (fixed column order, floats with 17
-significant digits, records sorted by grid indices, so identical configs give
-byte-identical files) plus a JSON sidecar with the config and summary
-statistics.
+Every grid point goes through decentral.oracle_check and records
+h2 = sqrt(trace P), the oracle decentralization verdict and off-pattern mass;
+failed solves carry a status tag instead of a fabricated value. Output is a
+CSV (fixed column order, floats with 17 significant digits, records sorted by
+grid indices, so identical configs give byte-identical files) plus a JSON
+sidecar with the config and summary statistics.
 """
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .decentral import ORACLE_TOL, pattern_decentralized, single_station_neighborhoods
+from .decentral import oracle_check
 from .errors import InputError, SolverError
-from .lqr import LqrProblem, solve_lqr
+from .lqr import LqrProblem
 from .serialize import dumps_json, format_float
 
 CSV_COLUMNS = ("axis1", "axis2", "h2", "decentralized", "offdiag_mass", "status")
+
+
+def _qr_problem(q_ratio, g_ratio):
+    """Plant [[1, 1], [-1, 1]] with q2 = 1 and gamma0 = 1, so Q = diag(q0/q2, 1)
+    and R = diag(1, gamma0/gamma2)."""
+    return LqrProblem(
+        A=np.array([[1.0, 1.0], [-1.0, 1.0]]),
+        B=np.eye(2),
+        Q=np.diag([q_ratio, 1.0]),
+        R=np.diag([1.0, g_ratio]),
+    )
+
+
+def _qa_problem(q0, a2):
+    """Plant [[1, 1], [-1, a2]] with gamma2 = 1/q0 (the input-weight ratio
+    condition at gamma0 = 1, q2 = 1), so Q = diag(q0, 1) and R = diag(1, q0)."""
+    return LqrProblem(
+        A=np.array([[1.0, 1.0], [-1.0, a2]]),
+        B=np.eye(2),
+        Q=np.diag([q0, 1.0]),
+        R=np.diag([1.0, q0]),
+    )
+
+
+# Sweep kind -> problem builder of a grid point (axis1, axis2).
+PROBLEM_BUILDERS = {"qr": _qr_problem, "qa": _qa_problem}
 
 
 def _number(value, what):
@@ -91,7 +118,7 @@ class SweepConfig:
     output: Optional[str] = None
 
     def __post_init__(self):
-        if self.kind not in ("qr", "qa"):
+        if self.kind not in PROBLEM_BUILDERS:
             raise InputError("sweep kind must be 'qr' or 'qa'")
         self.curve_samples = _count(self.curve_samples, "curve_samples")
         if self.curve_samples < 2:
@@ -118,7 +145,7 @@ class SweepConfig:
         if not isinstance(data, dict):
             raise InputError("sweep config must be a JSON object")
         kind = data.get("kind")
-        if kind not in ("qr", "qa"):
+        if kind not in PROBLEM_BUILDERS:
             raise InputError("sweep config needs \"kind\": \"qr\" or \"qa\"")
         base = cls.default_qr() if kind == "qr" else cls.default_qa()
 
@@ -215,17 +242,13 @@ class SweepResult:
 
 def _evaluate_point(prob_builder, x1, x2):
     try:
-        prob = prob_builder(x1, x2)
-        sol = solve_lqr(prob)
-        decentralized, mass = pattern_decentralized(
-            sol.K, single_station_neighborhoods(prob.n), ORACLE_TOL
-        )
+        report = oracle_check(prob_builder(x1, x2))
         return GridRecord(
             axis1=float(x1),
             axis2=float(x2),
-            h2=float(sol.h2),
-            decentralized=decentralized,
-            offdiag_mass=mass,
+            h2=report.h2,
+            decentralized=report.oracle_decentralized,
+            offdiag_mass=report.offdiag_mass,
             status="ok",
         )
     except (InputError, SolverError) as exc:
@@ -239,64 +262,31 @@ def _evaluate_point(prob_builder, x1, x2):
         )
 
 
-def _run_grid(cfg, prob_builder):
-    records = []
-    for x1 in cfg.axis1.grid():
-        for x2 in cfg.axis2.grid():
-            records.append(_evaluate_point(prob_builder, x1, x2))
-    return records
+def run_sweep(cfg):
+    """Evaluate every grid point of cfg with its kind's problem builder.
 
-
-def sweep_qr(cfg):
-    """Cost-ratio sweep of the fixed plant [[1, 1], [-1, 1]].
-
-    axis1 = q0/q2 (with q2 = 1) and axis2 = gamma0/gamma2 (with gamma0 = 1),
-    so Q = diag(axis1, 1) and R = diag(1, axis2).
+    A "qa" sweep also samples the locus q0 = 1/a2 (so gamma2 = a2) at
+    curve_samples values of a2 spaced like axis2. Samples with a2 <= 0 break
+    the same-sign condition on the self terms and are excluded with a reason,
+    as are samples whose solve fails.
     """
-    if cfg.kind != "qr":
-        raise InputError("sweep_qr needs a 'qr' config")
-    A = np.array([[1.0, 1.0], [-1.0, 1.0]])
-
-    def build(q_ratio, g_ratio):
-        return LqrProblem(
-            A=A, B=np.eye(2), Q=np.diag([q_ratio, 1.0]), R=np.diag([1.0, g_ratio])
-        )
-
-    return SweepResult(config=cfg, records=_run_grid(cfg, build))
-
-
-def sweep_qa_with_curve(cfg):
-    """Weight-vs-dynamics sweep of [[1, 1], [-1, a2]] plus the locus q0 = 1/a2.
-
-    At every grid point gamma2 = 1/q0 (input-weight ratio condition with
-    gamma0 = 1, q2 = 1), so R = diag(1, q0). Curve samples with a2 <= 0 break
-    the same-sign condition on the self terms and are excluded with a reason.
-    """
+    build = PROBLEM_BUILDERS[cfg.kind]
+    records = [
+        _evaluate_point(build, x1, x2) for x1 in cfg.axis1.grid() for x2 in cfg.axis2.grid()
+    ]
+    result = SweepResult(config=cfg, records=records)
     if cfg.kind != "qa":
-        raise InputError("sweep_qa_with_curve needs a 'qa' config")
-
-    def build(q0, a2):
-        return LqrProblem(
-            A=np.array([[1.0, 1.0], [-1.0, a2]]),
-            B=np.eye(2),
-            Q=np.diag([q0, 1.0]),
-            R=np.diag([1.0, q0]),
-        )
-
-    records = _run_grid(cfg, build)
-
-    curve = []
-    excluded = []
-    for a2 in _curve_parameters(cfg):
+        return result
+    for a2 in replace(cfg.axis2, steps=cfg.curve_samples).grid():
         if a2 <= 0:
-            excluded.append((float(a2), "a2 <= 0 breaks the same-sign condition"))
+            result.curve_excluded.append((float(a2), "a2 <= 0 breaks the same-sign condition"))
             continue
         q0 = 1.0 / a2
         rec = _evaluate_point(build, q0, a2)
         if rec.status != "ok":
-            excluded.append((float(a2), rec.status))
+            result.curve_excluded.append((float(a2), rec.status))
             continue
-        curve.append(
+        result.curve.append(
             CurveSample(
                 a2=float(a2),
                 q0=float(q0),
@@ -306,20 +296,7 @@ def sweep_qa_with_curve(cfg):
                 offdiag_mass=rec.offdiag_mass,
             )
         )
-    return SweepResult(config=cfg, records=records, curve=curve, curve_excluded=excluded)
-
-
-def _curve_parameters(cfg):
-    ax = cfg.axis2
-    if ax.spacing == "log":
-        return np.geomspace(ax.lo, ax.hi, cfg.curve_samples)
-    return np.linspace(ax.lo, ax.hi, cfg.curve_samples)
-
-
-def run_sweep(cfg):
-    if cfg.kind == "qr":
-        return sweep_qr(cfg)
-    return sweep_qa_with_curve(cfg)
+    return result
 
 
 def csv_text(result):

@@ -24,11 +24,10 @@ from declqr import (
     pattern_decentralized,
     predator_prey_jacobian,
     reduce_and_solve,
+    run_sweep,
     single_station_neighborhoods,
     solve_care,
     solve_lqr,
-    sweep_qa_with_curve,
-    sweep_qr,
     synthesize_diagonal_cost,
 )
 from declqr.cli import cli_main
@@ -82,7 +81,7 @@ def test_criterion_03_ring_diffusion_identity_gain():
             q, r, _ = diffusion_decentralizing_cost(n, delta)
             rep = oracle_check(circulant_lqr_problem(d2, identity_spec(n), q, r))
             worst_k = max(worst_k, float(np.linalg.norm(rep.K - np.eye(n))))
-            c = find_uniform_gain(d2, identity_spec(n), q, r, tol=1e-9)
+            c = find_uniform_gain(d2, identity_spec(n), q, r)
             worst_c = max(worst_c, abs(c - 1.0) if c is not None else np.inf)
     ok = worst_k <= 1e-6 and worst_c <= 1e-9
     assert report(3, ok, f"max |K - I| {worst_k:.1e}, max |c - 1| {worst_c:.1e}")
@@ -204,11 +203,11 @@ def test_criterion_08_predator_prey_weight_ratio_identity():
 
 def test_criterion_09_sweep_properties():
     t0 = time.perf_counter()
-    qr = sweep_qr(SweepConfig.default_qr())
+    qr = run_sweep(SweepConfig.default_qr())
     center = min(qr.records, key=lambda rec: abs(rec.axis1 - 1.0) + abs(rec.axis2 - 1.0))
     h2s = [rec.h2 for rec in qr.records if rec.status == "ok"]
     interior = min(h2s) < center.h2 < max(h2s)
-    qa = sweep_qa_with_curve(SweepConfig.default_qa())
+    qa = run_sweep(SweepConfig.default_qa())
     curve_ok = len(qa.curve) >= 20 and all(s.decentralized for s in qa.curve)
     curve_h2 = [s.h2 for s in qa.curve]
     variation = (max(curve_h2) - min(curve_h2)) / min(curve_h2)

@@ -1,0 +1,40 @@
+"""The benchmark's span tracer must find every function it traces.
+
+bench/tracing.py wraps declqr functions by (module, attribute) name, so a
+source change that drops or renames one of them breaks `bench/run.py
+--trace 1`. This test catches that in the tier-1 suite.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import declqr.cli  # noqa: F401  (the tracer wraps names in every declqr module)
+from declqr import LqrProblem, decentral
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def test_tracer_installs_and_removes(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    originals = {
+        (mod, attr): getattr(sys.modules[f"declqr.{mod}"], attr) for mod, attr in tracing.TRACED
+    }
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        report = decentral.oracle_check(
+            LqrProblem(A=[[1.0, 1.0], [-1.0, 1.0]], B=np.eye(2), Q=np.eye(2), R=np.eye(2))
+        )
+    finally:
+        tracer.remove()
+    assert report.oracle_decentralized
+    names = {span[0] for span in tracer.spans}
+    assert {"decentral.oracle_check", "lqr.solve_lqr", "matcore.solve_care"} <= names
+    assert len(tracer.care_iterations) == 1
+    for (mod, attr), original in originals.items():
+        assert getattr(sys.modules[f"declqr.{mod}"], attr) is original
+

@@ -55,6 +55,26 @@ class TestSolve:
         assert status == 2
 
 
+class TestSystemFileErrors:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "dense", "A": [[1]], "B": [[1]], "Q": [[1]]}',
+            '{"kind": "dense", "A": [["x"]], "B": [[1]], "Q": [[1]], "R": [[1]]}',
+            '{"kind": "dense", "A": [[Infinity]], "B": [[1]], "Q": [[1]], "R": [[1]]}',
+            '[1, 2]',
+            '{"kind": "dense", "A": ',
+        ],
+        ids=["missing-key", "non-numeric", "non-finite", "not-an-object", "invalid-json"],
+    )
+    def test_bad_file_is_input_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        status, _ = run_cli(["solve", "--system", str(path)])
+        assert status == 1
+        assert "input error:" in capsys.readouterr().err
+
+
 class TestCheck:
     def test_thm1_on_worked_system(self, worked_file):
         status, text = run_cli(["check", "thm1", "--system", worked_file])

@@ -73,10 +73,6 @@ class TestPatternDecentralized:
         with pytest.raises(InputError):
             pattern_decentralized(np.eye(2), [{0}, set()])
 
-    def test_nonpositive_tol(self):
-        with pytest.raises(InputError):
-            pattern_decentralized(np.eye(2), single_station_neighborhoods(2), tol=0.0)
-
 
 class TestOracleCheck:
     def test_fully_diagonal_data(self):
@@ -172,7 +168,7 @@ class TestCommonQuadraticRoots:
             f = MonicQuadratic(beta=-(r1 + r2), gamma=r1 * r2)
             cases.append((f, MonicQuadratic(beta=f.beta, gamma=f.gamma)))
         for f, g in cases:
-            verdict, alpha = common_quadratic_roots(f, g, tol=1e-9)
+            verdict, alpha = common_quadratic_roots(f, g)
             expected = self._overlap_by_roots(f, g)
             got = {"none": 0, "one": 1, "both": 2}[verdict]
             assert got == expected, (f, g, verdict, expected)

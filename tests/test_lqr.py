@@ -102,3 +102,13 @@ class TestValidation:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InputError):
             LqrProblem(A=np.eye(2), B=np.ones((3, 1)), Q=np.eye(2), R=np.eye(1))
+
+    @pytest.mark.parametrize(
+        "A",
+        [[["x"]], [[1.0, 2.0], [3.0]], (1.0 + 1.0j) * np.eye(1)],
+        ids=["non-numeric", "ragged", "complex"],
+    )
+    def test_non_real_matrix_rejected(self, A):
+        # A complex A must not be cast to its real part and solved as A = I.
+        with pytest.raises(InputError):
+            LqrProblem(A=A, B=np.eye(1), Q=np.eye(1), R=np.eye(1))

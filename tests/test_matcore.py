@@ -270,6 +270,15 @@ class TestSolveCare:
         with pytest.raises(InputError):
             solve_care(np.eye(2), np.eye(2), np.eye(3), np.eye(2))
 
+    @pytest.mark.parametrize(
+        "Q",
+        [[["1", "x"], ["x", "1"]], [[1.0, 0.0], [0.0]], (1.0 + 0.5j) * np.eye(2)],
+        ids=["non-numeric", "ragged", "complex"],
+    )
+    def test_non_real_weight_rejected(self, Q):
+        with pytest.raises(InputError):
+            solve_care(np.eye(2), np.eye(2), Q, np.eye(2))
+
     def test_iteration_cap_reports_nonconvergence(self, monkeypatch):
         monkeypatch.setattr(matcore, "CARE_MAX_ITER", 1)
         with pytest.raises(NonconvergentError) as excinfo:

@@ -71,6 +71,15 @@ class TestAugment:
                 Q0=np.diag([1.0, -1.0]), Q2=np.eye(2), R0=np.eye(2),
             )
 
+    @pytest.mark.parametrize("name", ["Q0", "Q2", "R0"])
+    def test_wrongly_sized_weight_rejected(self, name):
+        from declqr import InputError
+
+        blocks = {key: np.eye(2) for key in ("A1", "A2", "B0", "Q0", "Q2", "R0")}
+        blocks[name] = np.eye(3)
+        with pytest.raises(InputError, match=f"{name} must have 2 rows, got 3"):
+            SecondOrderSystem(**blocks)
+
 
 class TestDiffusionReduction:
     def test_stage_solutions_and_gains(self):

@@ -128,6 +128,15 @@ class TestSpecValidation:
         with pytest.raises(InputError):
             CirculantSpec([1.0, np.nan])
 
+    @pytest.mark.parametrize(
+        "row",
+        [["x", 1.0], [[1.0, 2.0], [3.0]], [1.0 + 1.0j, 2.0]],
+        ids=["non-numeric", "ragged", "complex"],
+    )
+    def test_non_real_row_rejected(self, row):
+        with pytest.raises(InputError):
+            CirculantSpec(row)
+
     def test_symmetric_row_helper(self):
         rng = np.random.default_rng(3)
         for n in (2, 5, 8):

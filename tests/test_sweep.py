@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from declqr import InputError, SweepAxis, SweepConfig, sweep_qa_with_curve, sweep_qr
+from declqr import InputError, SweepAxis, SweepConfig, run_sweep
 from declqr.sweep import csv_text, sidecar_dict, write_outputs
 
 SQRT2 = np.sqrt(2.0)
@@ -61,7 +61,7 @@ class TestConfig:
 
 class TestQrSweep:
     def test_grid_completeness_and_center(self):
-        result = sweep_qr(small_qr_config())
+        result = run_sweep(small_qr_config())
         assert len(result.records) == 25
         assert all(r.status == "ok" for r in result.records)
         center = min(
@@ -77,7 +77,7 @@ class TestQrSweep:
             axis1=SweepAxis("q0_over_q2", -1.0, 1.0, 3, spacing="linear"),
             axis2=SweepAxis("gamma0_over_gamma2", 0.5, 2.0, 2),
         )
-        result = sweep_qr(cfg)
+        result = run_sweep(cfg)
         assert len(result.records) == 6
         bad = [r for r in result.records if r.status != "ok"]
         assert bad and all(r.h2 is None for r in bad)
@@ -92,7 +92,7 @@ class TestQaSweep:
             axis2=SweepAxis("a2_over_a0", 0.5, 2.0, 3),
             curve_samples=3,
         )
-        result = sweep_qa_with_curve(cfg)
+        result = run_sweep(cfg)
         assert len(result.records) == 9
         assert len(result.curve) == 3
         for s in result.curve:
@@ -111,7 +111,7 @@ class TestQaSweep:
             axis2=SweepAxis("a2_over_a0", -1.0, 2.0, 2, spacing="linear"),
             curve_samples=4,
         )
-        result = sweep_qa_with_curve(cfg)
+        result = run_sweep(cfg)
         assert result.curve_excluded
         for a2, reason in result.curve_excluded:
             assert a2 <= 0
@@ -124,14 +124,14 @@ class TestQaSweep:
             axis2=SweepAxis("a2_over_a0", 0.1, 10.0, 2),
             curve_samples=20,
         )
-        result = sweep_qa_with_curve(cfg)
+        result = run_sweep(cfg)
         h2s = [s.h2 for s in result.curve]
         assert (max(h2s) - min(h2s)) / min(h2s) > 0.10
 
 
 class TestOutputs:
     def test_csv_shape_and_order(self):
-        result = sweep_qr(small_qr_config(steps=3))
+        result = run_sweep(small_qr_config(steps=3))
         text = csv_text(result)
         lines = text.strip().split("\n")
         assert lines[0] == "axis1,axis2,h2,decentralized,offdiag_mass,status"
@@ -143,10 +143,10 @@ class TestOutputs:
 
     def test_determinism(self):
         cfg = small_qr_config()
-        assert csv_text(sweep_qr(cfg)) == csv_text(sweep_qr(cfg))
+        assert csv_text(run_sweep(cfg)) == csv_text(run_sweep(cfg))
 
     def test_write_outputs(self, tmp_path):
-        result = sweep_qr(small_qr_config(steps=3))
+        result = run_sweep(small_qr_config(steps=3))
         csv_path, json_path = write_outputs(result, tmp_path / "grid.csv")
         assert csv_path.endswith("grid.csv")
         assert json_path.endswith("grid.json")
@@ -158,10 +158,26 @@ class TestOutputs:
         assert sidecar["config"]["kind"] == "qr"
 
     def test_floats_carry_seventeen_digits(self):
-        result = sweep_qr(small_qr_config(steps=3))
+        result = run_sweep(small_qr_config(steps=3))
         text = csv_text(result)
         value = text.strip().split("\n")[1].split(",")[0]
         assert float(value) == result.records[0].axis1
+
+    def test_failed_rows_leave_value_cells_empty(self):
+        cfg = SweepConfig(
+            kind="qr",
+            axis1=SweepAxis("q0_over_q2", -1.0, 1.0, 3, spacing="linear"),
+            axis2=SweepAxis("gamma0_over_gamma2", 0.5, 2.0, 2),
+        )
+        result = run_sweep(cfg)
+        rows = [line.split(",") for line in csv_text(result).strip().split("\n")[1:]]
+        failed = [cells for cells in rows if cells[-1] != "ok"]
+        assert len(failed) == 4  # q0/q2 = -1 and 0 are not positive definite
+        for cells in failed:
+            assert cells[2:] == ["", "", "", "InputError"]
+            assert float(cells[0]) <= 0.0
+        summary = sidecar_dict(result)["summary"]
+        assert (summary["points"], summary["solved"], summary["failed"]) == (6, 2, 4)
 
     def test_sidecar_includes_curve(self):
         cfg = SweepConfig(
@@ -170,6 +186,6 @@ class TestOutputs:
             axis2=SweepAxis("a2_over_a0", 0.5, 2.0, 2),
             curve_samples=3,
         )
-        data = sidecar_dict(sweep_qa_with_curve(cfg))
+        data = sidecar_dict(run_sweep(cfg))
         assert len(data["curve"]) == 3
         assert data["summary"]["curve"]["all_decentralized"] is True
