@@ -11,10 +11,8 @@ decentralization loci.
 from .decentral import (
     DecentralReport,
     DiagonalCost2x2,
-    MonicQuadratic,
     circulant_lqr_problem,
     circulant_pair_conditions,
-    common_quadratic_roots,
     diagonal_cost_conditions,
     diagonal_riccati_roots,
     find_uniform_gain,
@@ -63,7 +61,6 @@ from .spectral import (
     circulant_eigenvalues,
     circulant_materialize,
     identity_spec,
-    is_circulant,
 )
 from .sweep import SweepAxis, SweepConfig, SweepResult, run_sweep
 

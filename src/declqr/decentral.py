@@ -11,9 +11,7 @@ state that means a diagonal K. This module provides
   induce),
 * a per-frequency uniform-gain search for circulant quadruples of any size,
   exact for non-symmetric A and B, specialized to a pair of balance ratios
-  for the 2x2 circulant case,
-* the shared-root classification of two monic quadratics that underpins the
-  ratio conditions.
+  for the 2x2 circulant case.
 
 Tolerance split: analytic ratio identities are checked at 1e-10 (exact
 arithmetic facts), while oracle diagonality is judged at 1e-6, downstream of
@@ -28,7 +26,7 @@ import numpy as np
 
 from .errors import InputError
 from .lqr import LqrProblem, solve_lqr
-from .matcore import as_matrix
+from .matcore import as_matrix, as_positive_real, as_real
 from .spectral import CirculantSpec, circulant_eigenvalues, circulant_materialize
 
 # Relative tolerance for analytic ratio identities.
@@ -38,8 +36,6 @@ ORACLE_TOL = 1e-6
 # Imaginary parts above this, or relative spreads above it, disqualify the
 # per-frequency gains as one uniform real gain.
 UNIFORM_GAIN_TOL = 1e-9
-# Relative tolerance of the shared-root classification of two quadratics.
-SHARED_ROOT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -134,66 +130,9 @@ def oracle_check(prob, neighborhoods=None):
     )
 
 
-# ---------------------------------------------------------------------------
-# Shared roots of monic quadratics
-# ---------------------------------------------------------------------------
-
-@dataclass
-class MonicQuadratic:
-    """x^2 + beta x + gamma; coefficients may be complex."""
-
-    beta: complex
-    gamma: complex
-
-    def __call__(self, x):
-        return x * x + self.beta * x + self.gamma
-
-
 def approx_equal(u, v, tol):
     """Symmetric relative closeness; safe when either value is zero."""
     return abs(u - v) <= tol * max(1.0, abs(u), abs(v))
-
-
-def common_quadratic_roots(f, g):
-    """Classify the root overlap of two monic quadratics.
-
-    Returns ("both", None) when the coefficient pairs agree within
-    SHARED_ROOT_TOL, ("one", alpha) when exactly one root is shared, and
-    ("none", None) otherwise. The shared root comes from the two elimination
-    formulas
-
-        alpha = (beta1 gamma2 - beta2 gamma1) / (gamma1 - gamma2)
-              = (gamma1 - gamma2) / (beta2 - beta1),
-
-    which must agree within SHARED_ROOT_TOL and satisfy both quadratics within
-    it. Equal constant terms with distinct linear terms only share x = 0, and
-    only when that constant term is itself zero.
-    """
-    b1, g1 = complex(f.beta), complex(f.gamma)
-    b2, g2 = complex(g.beta), complex(g.gamma)
-    for name, value in (("beta1", b1), ("gamma1", g1), ("beta2", b2), ("gamma2", g2)):
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise InputError(f"{name} is not finite")
-
-    tol = SHARED_ROOT_TOL
-    if approx_equal(b1, b2, tol) and approx_equal(g1, g2, tol):
-        return "both", None
-    if approx_equal(g1, g2, tol):
-        # f - g reduces to (beta1 - beta2) x = 0, so only x = 0 can be shared.
-        if abs(g1) <= tol and abs(g2) <= tol:
-            return "one", 0j
-        return "none", None
-    if approx_equal(b1, b2, tol):
-        return "none", None
-
-    alpha = (b1 * g2 - b2 * g1) / (g1 - g2)
-    alpha_alt = (g1 - g2) / (b2 - b1)
-    if not approx_equal(alpha, alpha_alt, tol):
-        return "none", None
-    scale = max(1.0, abs(alpha) ** 2, abs(b1 * alpha), abs(g1), abs(b2 * alpha), abs(g2))
-    if abs(f(alpha)) <= tol * scale and abs(g(alpha)) <= tol * scale:
-        return "one", alpha
-    return "none", None
 
 
 # ---------------------------------------------------------------------------
@@ -215,14 +154,10 @@ class DiagonalCost2x2:
     gamma2: float
 
     def __post_init__(self):
-        for name in ("a0", "a1", "a_minus1", "a2", "q0", "q2", "gamma0", "gamma2"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise InputError(f"{name} is not finite")
-            setattr(self, name, value)
+        for name in ("a0", "a1", "a_minus1", "a2"):
+            setattr(self, name, as_real(getattr(self, name), name))
         for name in ("q0", "q2", "gamma0", "gamma2"):
-            if getattr(self, name) <= 0:
-                raise InputError(f"{name} must be positive")
+            setattr(self, name, as_positive_real(getattr(self, name), name))
 
     def state_matrix(self):
         return np.array([[self.a0, self.a1], [self.a_minus1, self.a2]])
@@ -245,7 +180,10 @@ def _require_nonzero_coupling(a1, a_minus1, a2):
 
 
 def diagonal_cost_conditions(sys):
-    """Evaluate the four conditions under which the gain of sys is diagonal.
+    """Evaluate four conditions that together suffice for the gain of sys to
+    be diagonal. They are not necessary: A = [[1, 1], [-1, -2]] with
+    Q = diag(2, 5), R = diag(1/4, 1) fails (ii)-(iv), yet its gain is
+    diag(4, 1).
 
     (i)   a1 and a_minus1 have opposite signs;
     (ii)  a0 and a2 have the same sign;
@@ -286,8 +224,8 @@ def synthesize_diagonal_cost(a0, a1, a_minus1, a2, q2=1.0, gamma2=1.0):
     construction.
     """
     _require_nonzero_coupling(a1, a_minus1, a2)
-    if q2 <= 0 or gamma2 <= 0:
-        raise InputError("q2 and gamma2 must be positive")
+    q2 = as_positive_real(q2, "q2")
+    gamma2 = as_positive_real(gamma2, "gamma2")
     if not (a1 * a_minus1 < 0 and a0 * a2 > 0):
         raise InputError(
             "preconditions fail, positivity of cost impossible: need opposite-sign "

@@ -1,11 +1,14 @@
 """Dense linear-algebra core: one matrix-sign kernel behind the Lyapunov and
-Riccati solvers and the stability test, plus Bass stabilizing gains.
+Riccati solvers and the stability test, plus Bass stabilizing gains, and the
+converters through which every number from outside the program enters.
 
 The kernel is the determinant-scaled Newton iteration for the matrix sign
 function (Roberts 1971, Byers 1987) on real float64 arrays: eigensolver-free
 and O(n^3) per step.
 """
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,20 +40,42 @@ RESONANCE_COND_LIMIT = 1e14
 RESIDUAL_FLOOR_FACTOR = 1e4
 
 
+def as_real(value, name):
+    """The one converter for a number from outside the program (a file, a
+    model tag, a config or a call): a finite float from a Python or numpy real
+    scalar. Strings, None, booleans, containers, complex values, NaN and Inf
+    raise InputError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InputError(f"{name} must be a number, got {value!r}")
+    x = float(value)
+    if not math.isfinite(x):
+        raise InputError(f"{name} must be finite, got {value!r}")
+    return x
+
+
+def as_positive_real(value, name):
+    """as_real, also requiring value > 0."""
+    x = as_real(value, name)
+    if x <= 0:
+        raise InputError(f"{name} must be positive, got {value!r}")
+    return x
+
+
 def as_real_array(M, name):
-    """Convert to a finite float array, rejecting ragged nesting and
-    non-numeric, complex (a cast would drop the imaginary part) or non-finite
-    entries."""
+    """Convert to a finite float array, every entry under as_real's rule.
+
+    A cast alone would read "1" and true as 1.0 and drop an imaginary part, so
+    unless M is already an integer or float ndarray, one entry of each Python
+    type goes through as_real. Ragged nesting raises InputError too.
+    """
     try:
         A = np.asarray(M)
     except ValueError:
         raise InputError(f"{name} is ragged: rows of unequal length") from None
-    if A.dtype.kind not in "biufO":
-        raise InputError(f"{name} must hold real numbers, got dtype {A.dtype}")
-    try:
-        A = A.astype(float, copy=False)
-    except (TypeError, ValueError):
-        raise InputError(f"{name} must hold real numbers") from None
+    if not (isinstance(M, np.ndarray) and M.dtype.kind in "iuf"):
+        for x in {type(x): x for x in np.asarray(M, dtype=object).flat}.values():
+            as_real(x, f"{name} entry")
+    A = A.astype(float, copy=False)
     if not np.all(np.isfinite(A)):
         raise InputError(f"{name} contains NaN or Inf entries")
     return A

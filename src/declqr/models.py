@@ -11,14 +11,14 @@ Units are documented on the parameter types but not enforced; constructors
 emit plain dimensionless matrices for the solvers.
 """
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .decentral import RATIO_TOL, approx_equal
 from .errors import InputError
 from .lqr import LqrProblem
+from .matcore import as_positive_real
 from .spectral import CirculantSpec, identity_spec
 
 
@@ -39,11 +39,8 @@ class PredatorPreyParams:
     e: float
 
     def __post_init__(self):
-        for name in ("r1", "r2", "k1", "k2", "b", "e"):
-            value = float(getattr(self, name))
-            if not (math.isfinite(value) and value > 0):
-                raise InputError(f"{name} must be a positive finite number")
-            setattr(self, name, value)
+        for f in fields(self):
+            setattr(self, f.name, as_positive_real(getattr(self, f.name), f.name))
 
 
 def predator_prey_jacobian(p):
@@ -77,8 +74,7 @@ def diffusion_operator(n, delta=1.0):
     """
     if n < 3:
         raise InputError("wrap-around collision: the ring needs n >= 3 sites")
-    if not (math.isfinite(delta) and delta > 0):
-        raise InputError("delta must be a positive finite spacing")
+    delta = as_positive_real(delta, "delta")
     row = np.zeros(int(n))
     row[0] = -2.0
     row[1] = 1.0
@@ -90,8 +86,7 @@ def forward_difference_operator(n, delta=1.0):
     """Forward-difference circulant with first row (1/delta) * [-1, 1, 0, ..., 0]."""
     if n < 2:
         raise InputError("forward difference needs n >= 2 sites")
-    if not (math.isfinite(delta) and delta > 0):
-        raise InputError("delta must be a positive finite spacing")
+    delta = as_positive_real(delta, "delta")
     row = np.zeros(int(n))
     row[0] = -1.0
     row[1] = 1.0
@@ -127,11 +122,8 @@ class ChamberParams:
     beta1: float
 
     def __post_init__(self):
-        for name in ("alpha0", "alpha1", "beta0", "beta1"):
-            value = float(getattr(self, name))
-            if not (math.isfinite(value) and value > 0):
-                raise InputError(f"{name} must be a positive finite number")
-            setattr(self, name, value)
+        for f in fields(self):
+            setattr(self, f.name, as_positive_real(getattr(self, f.name), f.name))
 
 
 @dataclass
@@ -180,9 +172,7 @@ def chamber_system(p):
 def perf_example_system(q0=1.0, gamma2=1.0):
     """2x2 plant [[1, 1], [-1, 1]] with B = I, Q = diag(q0, 1) and
     R = diag(1, 1/gamma2)."""
-    if not (math.isfinite(q0) and q0 > 0):
-        raise InputError("q0 must be a positive finite weight")
-    if not (math.isfinite(gamma2) and gamma2 > 0):
-        raise InputError("gamma2 must be a positive finite weight")
+    q0 = as_positive_real(q0, "q0")
+    gamma2 = as_positive_real(gamma2, "gamma2")
     A = np.array([[1.0, 1.0], [-1.0, 1.0]])
     return LqrProblem(A=A, B=np.eye(2), Q=np.diag([q0, 1.0]), R=np.diag([1.0, 1.0 / gamma2]))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .matcore import as_matrix, as_real_array
+from .matcore import as_real_array
 
 
 @dataclass
@@ -70,12 +70,3 @@ def circulant_eigenvalues(spec):
             vals[n - k] = np.conj(vals[k])
     return vals
 
-
-def is_circulant(M, tol=1e-12):
-    """True when every row is the cyclic right-shift of the previous row,
-    entrywise within absolute tolerance tol."""
-    M = as_matrix(M, "M", square=True)
-    for i in range(1, M.shape[0]):
-        if np.max(np.abs(M[i] - np.roll(M[i - 1], 1))) > tol:
-            return False
-    return True

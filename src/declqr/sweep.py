@@ -18,8 +18,6 @@ grid indices, so identical configs give byte-identical files) plus a JSON
 sidecar with the config and summary statistics.
 """
 
-import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -28,6 +26,7 @@ import numpy as np
 from .decentral import oracle_check
 from .errors import InputError, SolverError
 from .lqr import LqrProblem
+from .matcore import as_real
 from .serialize import dumps_json, format_float
 
 CSV_COLUMNS = ("axis1", "axis2", "h2", "decentralized", "offdiag_mass", "status")
@@ -59,15 +58,14 @@ def _qa_problem(q0, a2):
 PROBLEM_BUILDERS = {"qr": _qr_problem, "qa": _qa_problem}
 
 
-def _number(value, what):
-    # Config values arrive from JSON: reject strings, null and booleans.
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InputError(f"{what} must be a number, got {value!r}")
-    return float(value)
+def _text(value, what):
+    if not isinstance(value, str):
+        raise InputError(f"{what} must be a string, got {value!r}")
+    return value
 
 
 def _count(value, what):
-    x = _number(value, what)
+    x = as_real(value, what)
     if not x.is_integer():
         raise InputError(f"{what} must be an integer, got {value!r}")
     return int(x)
@@ -82,13 +80,14 @@ class SweepAxis:
     spacing: str = "log"
 
     def __post_init__(self):
-        self.lo = _number(self.lo, f"axis '{self.name}' min")
-        self.hi = _number(self.hi, f"axis '{self.name}' max")
+        self.name = _text(self.name, "axis name")
+        self.lo = as_real(self.lo, f"axis '{self.name}' min")
+        self.hi = as_real(self.hi, f"axis '{self.name}' max")
         self.steps = _count(self.steps, f"axis '{self.name}' steps")
         if self.steps < 2:
             raise InputError(f"axis '{self.name}' needs at least 2 steps")
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo < self.hi):
-            raise InputError(f"axis '{self.name}' needs finite lo < hi")
+        if not self.lo < self.hi:
+            raise InputError(f"axis '{self.name}' needs lo < hi")
         if self.spacing not in ("log", "linear"):
             raise InputError(f"axis '{self.name}' spacing must be 'log' or 'linear'")
         if self.spacing == "log" and self.lo <= 0:
@@ -118,11 +117,13 @@ class SweepConfig:
     output: Optional[str] = None
 
     def __post_init__(self):
-        if self.kind not in PROBLEM_BUILDERS:
+        if _text(self.kind, "sweep kind") not in PROBLEM_BUILDERS:
             raise InputError("sweep kind must be 'qr' or 'qa'")
         self.curve_samples = _count(self.curve_samples, "curve_samples")
         if self.curve_samples < 2:
             raise InputError("curve_samples must be at least 2")
+        if self.output is not None:
+            _text(self.output, "output")
 
     @classmethod
     def default_qr(cls):
@@ -145,7 +146,7 @@ class SweepConfig:
         if not isinstance(data, dict):
             raise InputError("sweep config must be a JSON object")
         kind = data.get("kind")
-        if kind not in PROBLEM_BUILDERS:
+        if not isinstance(kind, str) or kind not in PROBLEM_BUILDERS:
             raise InputError("sweep config needs \"kind\": \"qr\" or \"qa\"")
         base = cls.default_qr() if kind == "qr" else cls.default_qa()
 

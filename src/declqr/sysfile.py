@@ -14,11 +14,10 @@ All floats are written with 17 significant digits.
 
 import json
 
-import numpy as np
-
 from .decentral import circulant_lqr_problem
 from .errors import InputError
 from .lqr import LqrProblem
+from .matcore import as_real_array
 from .secondorder import SecondOrderSystem
 from .serialize import dumps_json
 from .spectral import CirculantSpec
@@ -27,10 +26,10 @@ from .spectral import CirculantSpec
 def dense_document(A, B, Q, R, model=None):
     doc = {
         "kind": "dense",
-        "A": np.asarray(A, dtype=float),
-        "B": np.asarray(B, dtype=float),
-        "Q": np.asarray(Q, dtype=float),
-        "R": np.asarray(R, dtype=float),
+        "A": as_real_array(A, "A"),
+        "B": as_real_array(B, "B"),
+        "Q": as_real_array(Q, "Q"),
+        "R": as_real_array(R, "R"),
     }
     if model is not None:
         doc["model"] = model
@@ -75,15 +74,9 @@ def save_system(doc, path):
 
 
 def _array(data, key):
-    try:
-        arr = np.asarray(data[key], dtype=float)
-    except KeyError:
-        raise InputError(f"system file is missing key '{key}'") from None
-    except (TypeError, ValueError):
-        raise InputError(f"key '{key}' is not a numeric array") from None
-    if not np.all(np.isfinite(arr)):
-        raise InputError(f"key '{key}' contains non-finite entries")
-    return arr
+    if key not in data:
+        raise InputError(f"system file is missing key '{key}'")
+    return as_real_array(data[key], f"key '{key}'")
 
 
 class SystemFile:

@@ -8,6 +8,7 @@ from declqr import (
     bass_stabilizing_gain,
     solve_care,
 )
+from declqr.matcore import as_matrix
 
 
 def random_spd(rng, n, scale=1.0):
@@ -108,3 +109,13 @@ def nonsymmetric_uniform_gain_instance():
     q = CirculantSpec(eigenvalues_to_row(16.0 - 8.0 * ah.real))
     eye = CirculantSpec(np.eye(n)[0])
     return CirculantSpec(row), eye, q, eye
+
+
+def is_circulant(M, tol=1e-12):
+    """True when every row is the cyclic right-shift of the previous row,
+    entrywise within absolute tolerance tol."""
+    M = as_matrix(M, "M", square=True)
+    for i in range(1, M.shape[0]):
+        if np.max(np.abs(M[i] - np.roll(M[i - 1], 1))) > tol:
+            return False
+    return True

@@ -55,22 +55,48 @@ class TestSolve:
         assert status == 2
 
 
+CIRCULANT_ROWS = '"B_first_row": [1, 0], "Q_first_row": [1, 0], "R_first_row": [1, 0]'
+CHAMBER_FILE = (
+    '{"kind": "circulant", "A_first_row": [-3, 1], ' + CIRCULANT_ROWS + ', '
+    '"model": {"name": "chamber", "alpha0": %s, "alpha1": 0.5, "beta0": 3, "beta1": 1}}'
+)
+
+
 class TestSystemFileErrors:
     @pytest.mark.parametrize(
-        "text",
+        "command, text",
         [
-            '{"kind": "dense", "A": [[1]], "B": [[1]], "Q": [[1]]}',
-            '{"kind": "dense", "A": [["x"]], "B": [[1]], "Q": [[1]], "R": [[1]]}',
-            '{"kind": "dense", "A": [[Infinity]], "B": [[1]], "Q": [[1]], "R": [[1]]}',
-            '[1, 2]',
-            '{"kind": "dense", "A": ',
+            ("solve", '{"kind": "dense", "A": [[1]], "B": [[1]], "Q": [[1]]}'),
+            ("solve", '{"kind": "dense", "A": [["x"]], "B": [[1]], "Q": [[1]], "R": [[1]]}'),
+            ("solve", '{"kind": "dense", "A": [[Infinity]], "B": [[1]], "Q": [[1]], "R": [[1]]}'),
+            ("solve", '[1, 2]'),
+            ("solve", '{"kind": "dense", "A": '),
+            ("solve", '{"kind": "dense", "A": [["1"]], "B": [[1]], "Q": [[1]], "R": [[1]]}'),
+            ("solve", '{"kind": "dense", "A": [[1]], "B": [[true]], "Q": [[1]], "R": [[1]]}'),
+            ("solve", '{"kind": "circulant", "A_first_row": ["-3", "1"], ' + CIRCULANT_ROWS + '}'),
+            ("solve", '{"kind": "circulant", "A_first_row": [-3, false], ' + CIRCULANT_ROWS + '}'),
+            (
+                "reduce",
+                '{"kind": "second_order", "A1": [[-1]], "A2": [[-1]], "B0": [[1]], '
+                '"Q0": [["1"]], "Q2": [[1]], "R0": [[1]]}',
+            ),
+            ("check oracle", CHAMBER_FILE % '"x"'),
+            ("check oracle", CHAMBER_FILE % "null"),
+            ("check oracle", CHAMBER_FILE % "[1]"),
+            ("check oracle", CHAMBER_FILE % '"2.0"'),
+            ("check oracle", CHAMBER_FILE % "true"),
         ],
-        ids=["missing-key", "non-numeric", "non-finite", "not-an-object", "invalid-json"],
+        ids=[
+            "missing-key", "non-numeric", "non-finite", "not-an-object", "invalid-json",
+            "dense-string", "dense-boolean", "circulant-string", "circulant-boolean",
+            "second-order-string", "chamber-tag-word", "chamber-tag-null",
+            "chamber-tag-list", "chamber-tag-string", "chamber-tag-boolean",
+        ],
     )
-    def test_bad_file_is_input_error(self, tmp_path, capsys, text):
+    def test_bad_file_is_input_error(self, tmp_path, capsys, command, text):
         path = tmp_path / "bad.json"
         path.write_text(text)
-        status, _ = run_cli(["solve", "--system", str(path)])
+        status, _ = run_cli(command.split() + ["--system", str(path)])
         assert status == 1
         assert "input error:" in capsys.readouterr().err
 
@@ -270,9 +296,13 @@ class TestSweepCommand:
             {"kind": "qr", "axis1": {"min": None}},
             {"kind": "qa", "curve_samples": "x"},
             {"kind": "qr", "axis1": {"steps": 2.7}},
+            {"kind": ["qr"]},
+            {"kind": "qr", "axis1": {"name": [1]}},
+            {"kind": "qr", "output": [1]},
         ],
     )
-    def test_malformed_config_field_is_input_error(self, tmp_path, capsys, cfg):
+    def test_malformed_config_field_is_input_error(self, tmp_path, capsys, monkeypatch, cfg):
+        monkeypatch.chdir(tmp_path)
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         status, _ = run_cli(["sweep", "--config", str(cfg_path)])

@@ -8,11 +8,9 @@ from declqr import (
     DiagonalCost2x2,
     InputError,
     LqrProblem,
-    MonicQuadratic,
     UnstabilizableError,
     circulant_lqr_problem,
     circulant_pair_conditions,
-    common_quadratic_roots,
     diagonal_cost_conditions,
     diagonal_riccati_roots,
     find_uniform_gain,
@@ -108,75 +106,6 @@ class TestOracleCheck:
         assert report.oracle_decentralized
 
 
-class TestCommonQuadraticRoots:
-    def test_identical_polynomials(self):
-        f = MonicQuadratic(beta=-3.0, gamma=2.0)
-        assert common_quadratic_roots(f, f) == ("both", None)
-
-    def test_one_shared_root(self):
-        f = MonicQuadratic(beta=-3.0, gamma=2.0)  # roots 1, 2
-        g = MonicQuadratic(beta=-4.0, gamma=3.0)  # roots 1, 3
-        verdict, alpha = common_quadratic_roots(f, g)
-        assert verdict == "one"
-        assert abs(alpha - 1.0) < 1e-12
-
-    def test_disjoint_roots(self):
-        f = MonicQuadratic(beta=0.0, gamma=1.0)
-        g = MonicQuadratic(beta=1.0, gamma=1.0)
-        assert common_quadratic_roots(f, g) == ("none", None)
-
-    def test_equal_constants_share_only_zero(self):
-        f = MonicQuadratic(beta=1.0, gamma=0.0)
-        g = MonicQuadratic(beta=2.0, gamma=0.0)
-        verdict, alpha = common_quadratic_roots(f, g)
-        assert verdict == "one"
-        assert alpha == 0
-        f = MonicQuadratic(beta=1.0, gamma=3.0)
-        g = MonicQuadratic(beta=2.0, gamma=3.0)
-        assert common_quadratic_roots(f, g) == ("none", None)
-
-    @staticmethod
-    def _overlap_by_roots(f, g, tol=1e-7):
-        r1 = np.roots([1.0, f.beta, f.gamma])
-        r2 = np.roots([1.0, g.beta, g.gamma])
-        scale = max(1.0, *(abs(r) for r in np.concatenate([r1, r2])))
-        shared = sum(
-            1 for a in r1 if any(abs(a - b) <= tol * scale for b in r2)
-        )
-        return min(shared, 2)
-
-    def test_against_root_finding_oracle(self):
-        rng = np.random.default_rng(37)
-        cases = []
-        for _ in range(500):
-            cases.append(
-                (
-                    MonicQuadratic(*rng.uniform(-3, 3, 2)),
-                    MonicQuadratic(*rng.uniform(-3, 3, 2)),
-                )
-            )
-        for _ in range(250):
-            # Built to share exactly one root.
-            shared, extra1, extra2 = rng.uniform(-2, 2, 3)
-            if abs(extra1 - extra2) < 0.1:
-                extra2 += 0.5
-            f = MonicQuadratic(beta=-(shared + extra1), gamma=shared * extra1)
-            g = MonicQuadratic(beta=-(shared + extra2), gamma=shared * extra2)
-            cases.append((f, g))
-        for _ in range(250):
-            r1, r2 = rng.uniform(-2, 2, 2)
-            f = MonicQuadratic(beta=-(r1 + r2), gamma=r1 * r2)
-            cases.append((f, MonicQuadratic(beta=f.beta, gamma=f.gamma)))
-        for f, g in cases:
-            verdict, alpha = common_quadratic_roots(f, g)
-            expected = self._overlap_by_roots(f, g)
-            got = {"none": 0, "one": 1, "both": 2}[verdict]
-            assert got == expected, (f, g, verdict, expected)
-            if verdict == "one":
-                assert abs(alpha * alpha + f.beta * alpha + f.gamma) < 1e-6
-                assert abs(alpha * alpha + g.beta * alpha + g.gamma) < 1e-6
-
-
 class TestDiagonalCostConditions:
     def test_worked_system_holds(self):
         holds, details = diagonal_cost_conditions(worked_system())
@@ -205,6 +134,22 @@ class TestDiagonalCostConditions:
         holds, details = diagonal_cost_conditions(sys2)
         assert not holds
         assert not details["opposite_offdiag_signs"]
+
+    def test_conditions_are_sufficient_not_necessary(self):
+        # The self terms differ in sign and both ratios miss their targets,
+        # yet P = I solves the Riccati equation, so the gain is diag(4, 1).
+        sys2 = DiagonalCost2x2(
+            a0=1.0, a1=1.0, a_minus1=-1.0, a2=-2.0, q0=2.0, q2=5.0, gamma0=4.0, gamma2=1.0
+        )
+        holds, details = diagonal_cost_conditions(sys2)
+        assert not holds
+        assert details["opposite_offdiag_signs"]
+        assert not details["same_diag_signs"]
+        assert not details["state_weight_ratio"]
+        assert not details["input_weight_ratio"]
+        report = oracle_check(sys2.lqr_problem())
+        assert report.oracle_decentralized
+        assert np.allclose(report.K, np.diag([4.0, 1.0]), atol=1e-10)
 
     def test_degenerate_coupling_rejected(self):
         sys2 = DiagonalCost2x2(

@@ -105,8 +105,8 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "A",
-        [[["x"]], [[1.0, 2.0], [3.0]], (1.0 + 1.0j) * np.eye(1)],
-        ids=["non-numeric", "ragged", "complex"],
+        [[["x"]], [[1.0, 2.0], [3.0]], (1.0 + 1.0j) * np.eye(1), [[True]]],
+        ids=["non-numeric", "ragged", "complex", "boolean"],
     )
     def test_non_real_matrix_rejected(self, A):
         # A complex A must not be cast to its real part and solved as A = I.

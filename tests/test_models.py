@@ -89,6 +89,25 @@ class TestPredatorPrey:
             sample_params(e=0.0)
 
 
+@pytest.mark.parametrize(
+    "value", ["1.5", True, None, [1.0]], ids=["string", "boolean", "null", "list"]
+)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: sample_params(r1=v),
+        lambda v: ChamberParams(alpha0=v, alpha1=1.0, beta0=3.0, beta1=1.0),
+        lambda v: DiagonalCost2x2(
+            a0=v, a1=1.0, a_minus1=-1.0, a2=1.0, q0=1.0, q2=1.0, gamma0=1.0, gamma2=1.0
+        ),
+    ],
+    ids=["predprey", "chamber", "diagonal-cost"],
+)
+def test_parameter_must_be_a_number(build, value):
+    with pytest.raises(InputError, match="must be a number"):
+        build(value)
+
+
 class TestDiffusion:
     def test_first_row(self):
         spec = diffusion_operator(4, 1.0)

@@ -12,7 +12,6 @@ from declqr import (
     diagonal_riccati_roots,
     find_uniform_gain,
     identity_spec,
-    is_circulant,
     oracle_check,
     reduce_and_solve,
 )
@@ -21,6 +20,7 @@ from declqr.lqr import LqrProblem
 from declqr.models import diffusion_operator
 from helpers import (
     eigenvalues_to_row,
+    is_circulant,
     pd_symmetric_circulant_spec,
     symmetric_circulant_row,
     uniform_gain_instance,

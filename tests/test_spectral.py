@@ -7,9 +7,8 @@ from declqr import (
     circulant_eigenvalues,
     circulant_materialize,
     identity_spec,
-    is_circulant,
 )
-from helpers import symmetric_circulant_row
+from helpers import is_circulant, symmetric_circulant_row
 
 
 class TestCirculantMaterialize:
@@ -130,8 +129,8 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize(
         "row",
-        [["x", 1.0], [[1.0, 2.0], [3.0]], [1.0 + 1.0j, 2.0]],
-        ids=["non-numeric", "ragged", "complex"],
+        [["x", 1.0], [[1.0, 2.0], [3.0]], [1.0 + 1.0j, 2.0], [1.0, True]],
+        ids=["non-numeric", "ragged", "complex", "boolean"],
     )
     def test_non_real_row_rejected(self, row):
         with pytest.raises(InputError):
