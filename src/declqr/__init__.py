@@ -33,9 +33,11 @@ from .errors import (
 from .lqr import LqrProblem, closed_loop, solve_lqr
 from .matcore import (
     CareResult,
+    CareStack,
     bass_stabilizing_gain,
     is_hurwitz,
     solve_care,
+    solve_care_stack,
     solve_lyapunov,
 )
 from .models import (

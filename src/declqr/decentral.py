@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InputError
 from .lqr import LqrProblem, solve_lqr
-from .matcore import as_matrix, as_positive_real, as_real
+from .matcore import as_positive_real, as_real, as_real_array
 from .spectral import CirculantSpec, circulant_eigenvalues, circulant_materialize
 
 # Relative tolerance for analytic ratio identities.
@@ -71,25 +71,32 @@ def normalize_neighborhoods(neighborhoods, n_inputs, n_states):
 
 
 def pattern_decentralized(K, neighborhoods):
-    """Test whether K conforms to the neighborhood sparsity pattern.
+    """Test whether K, or each gain of a stack K (N, m, n), conforms to the
+    neighborhood sparsity pattern.
 
-    Returns (conforms, offdiag_mass). conforms is True when every entry
-    K[i, j] with j outside N_i satisfies |K[i, j]| <= ORACLE_TOL * max(1, ||K||_F);
-    offdiag_mass is the Frobenius norm of the off-pattern part divided by
-    ||K||_F (0 for a zero gain).
+    Returns (conforms, offdiag_mass), as arrays over the stack for a stack.
+    conforms is True when every entry K[i, j] with j outside N_i satisfies
+    |K[i, j]| <= ORACLE_TOL * max(1, ||K||_F); offdiag_mass is the Frobenius
+    norm of the off-pattern part divided by ||K||_F (0 for a zero gain).
     """
-    K = as_matrix(K, "K")
-    m, n = K.shape
+    K = as_real_array(K, "K")
+    if K.ndim not in (2, 3):
+        raise InputError(f"K must be 2-D or a stack of 2-D gains, got ndim={K.ndim}")
+    m, n = K.shape[-2:]
     nbhd = normalize_neighborhoods(neighborhoods, m, n)
     off_mask = np.ones((m, n), dtype=bool)
     for i, nb in enumerate(nbhd):
         off_mask[i, sorted(nb)] = False
-    off = K[off_mask]
-    conforms = bool(
-        off.size == 0 or np.max(np.abs(off)) <= ORACLE_TOL * max(1.0, np.linalg.norm(K))
+    gains = K.reshape(-1, m, n)
+    off = gains[:, off_mask]
+    k_norm = np.sqrt(np.add.reduce(gains * gains, axis=(1, 2)))
+    conforms = np.abs(off).max(axis=1, initial=0.0) <= ORACLE_TOL * np.maximum(1.0, k_norm)
+    mass = np.divide(
+        np.sqrt(np.add.reduce(off * off, axis=1)), k_norm,
+        out=np.zeros_like(k_norm), where=k_norm > 0,
     )
-    k_norm = np.linalg.norm(K)
-    mass = float(np.linalg.norm(off) / k_norm) if k_norm > 0 else 0.0
+    if K.ndim == 2:
+        return bool(conforms[0]), float(mass[0])
     return conforms, mass
 
 
@@ -223,6 +230,9 @@ def synthesize_diagonal_cost(a0, a1, a_minus1, a2, q2=1.0, gamma2=1.0):
     * (q0/q2) are positive and satisfy diagonal_cost_conditions by
     construction.
     """
+    a0, a1, a_minus1, a2 = (
+        as_real(x, name) for x, name in zip((a0, a1, a_minus1, a2), ("a0", "a1", "a_minus1", "a2"))
+    )
     _require_nonzero_coupling(a1, a_minus1, a2)
     q2 = as_positive_real(q2, "q2")
     gamma2 = as_positive_real(gamma2, "gamma2")

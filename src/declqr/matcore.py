@@ -5,6 +5,15 @@ converters through which every number from outside the program enters.
 The kernel is the determinant-scaled Newton iteration for the matrix sign
 function (Roberts 1971, Byers 1987) on real float64 arrays: eigensolver-free
 and O(n^3) per step.
+
+Stack contract. The kernel and the solvers on top of it take stacks: arrays of
+shape (N, k, k) holding N problems of one size, stepped together through
+numpy's batched slogdet, inv, solve and matmul. Every item is judged on its
+own. A failure (bad data, an imaginary-axis eigenvalue, the step cap, a missed
+residual) becomes that item's error, the same exception class the one-problem
+call raises, and never stops the other items. An item's result is bitwise the
+same alone as inside a larger stack. solve_care_stack is the stacked Riccati
+entry; solve_care, solve_lyapunov and is_hurwitz are its N = 1 case.
 """
 
 import math
@@ -26,7 +35,8 @@ from .errors import (
 SIGN_STEP_TOL = 1e-10
 # Acceptance bound on the Riccati residual, relative to max(1, ||Q||_F).
 CARE_RESIDUAL_TOL = 1e-8
-# Step cap for every sign iteration.
+# Step cap for every sign iteration, and for the extra Kleinman steps of a
+# Riccati solve still above tolerance.
 CARE_MAX_ITER = 200
 # Resolution limit: a spectrum within ||A||_1 / RESONANCE_COND_LIMIT of the
 # imaginary axis is not Hurwitz, and a Bass Gramian above this condition
@@ -61,8 +71,17 @@ def as_positive_real(value, name):
     return x
 
 
-def as_real_array(M, name):
-    """Convert to a finite float array, every entry under as_real's rule.
+def as_count(value, name):
+    """as_real, also requiring an integral value; returns an int, so 4.7 and
+    "5" raise InputError where int() would truncate or parse them."""
+    x = as_real(value, name)
+    if not x.is_integer():
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(x)
+
+
+def _as_float(M, name):
+    """M as a float ndarray under as_real's rule for its entries, finite or not.
 
     A cast alone would read "1" and true as 1.0 and drop an imaginary part, so
     unless M is already an integer or float ndarray, one entry of each Python
@@ -75,7 +94,12 @@ def as_real_array(M, name):
     if not (isinstance(M, np.ndarray) and M.dtype.kind in "iuf"):
         for x in {type(x): x for x in np.asarray(M, dtype=object).flat}.values():
             as_real(x, f"{name} entry")
-    A = A.astype(float, copy=False)
+    return A.astype(float, copy=False)
+
+
+def as_real_array(M, name):
+    """Convert to a finite float array, every entry under as_real's rule."""
+    A = _as_float(M, name)
     if not np.all(np.isfinite(A)):
         raise InputError(f"{name} contains NaN or Inf entries")
     return A
@@ -86,28 +110,74 @@ def as_matrix(M, name="matrix", rows=None, cols=None, square=False):
     A = as_real_array(M, name)
     if A.ndim != 2:
         raise InputError(f"{name} must be 2-D, got ndim={A.ndim}")
-    r, c = A.shape
+    _check_shape(A.shape, name, rows, cols, square)
+    return A
+
+
+def _check_shape(shape, name, rows=None, cols=None, square=False):
+    r, c = shape
     if square and r != c:
-        raise InputError(f"{name} must be square, got shape {A.shape}")
+        raise InputError(f"{name} must be square, got shape {shape}")
     if rows is not None and r != rows:
         raise InputError(f"{name} must have {rows} rows, got {r}")
     if cols is not None and c != cols:
         raise InputError(f"{name} must have {cols} columns, got {c}")
-    return A
+
+
+def _t(X):
+    """Transpose of each matrix of a stack (of the matrix, for 2-D X)."""
+    return X.swapaxes(-1, -2)
+
+
+# The helpers below call ufunc reductions directly: on the small matrices of a
+# sweep, the ndarray method wrappers cost as much as the arithmetic.
+def _norm1(X):
+    """Matrix 1-norm (largest absolute column sum) of each item of a stack."""
+    return np.maximum.reduce(np.add.reduce(np.abs(X), axis=-2), axis=-1)
+
+
+def _fro(X):
+    """Frobenius norm of each item of a stack."""
+    return np.sqrt(np.add.reduce(X * X, axis=(-2, -1)))
+
+
+def _compact(keep, *stacks):
+    """The kept items of each stack (None stays None); the stacks themselves
+    when keep is None or keeps every item, so a stack with no failures is
+    never copied."""
+    if keep is None or np.count_nonzero(keep) == len(keep):
+        return stacks
+    return tuple(None if X is None else X[keep] for X in stacks)
+
+
+def _nan_like(X, N):
+    """A NaN stack of N items shaped like those of the stack X."""
+    return np.full((N,) + X.shape[1:], np.nan)
+
+
+def _scatter(X, index, N):
+    """A NaN stack of N items holding the items of X at positions index."""
+    out = _nan_like(X, N)
+    out[index] = X
+    return out
 
 
 def is_symmetric(M, tol=1e-10):
-    """True when ||M - M'||_F <= tol * max(1, ||M||_F)."""
-    return np.linalg.norm(M - M.T) <= tol * max(1.0, np.linalg.norm(M))
+    """True when ||M - M'||_F <= tol * max(1, ||M||_F); per item for a stack."""
+    return _fro(M - _t(M)) <= tol * np.maximum(1.0, _fro(M))
 
 
 def is_positive_definite(M):
-    """Cholesky-based test; assumes M is (numerically) symmetric."""
+    """Cholesky-based test, per item for a stack; assumes M is (numerically)
+    symmetric."""
+    M = (M + _t(M)) / 2.0
     try:
-        np.linalg.cholesky((M + M.T) / 2.0)
+        np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
-        return False
-    return True
+        if M.ndim == 2:
+            return False
+        return np.array([is_positive_definite(X) for X in M], dtype=bool)
+    return True if M.ndim == 2 else np.ones(len(M), dtype=bool)
 
 
 def require_spd(M, name):
@@ -120,61 +190,230 @@ def require_spd(M, name):
     return M
 
 
+def _validate_stack(A, B, Q, R):
+    """(A, B, Q, R, errors): stacked LQR data as float arrays, checked.
+
+    Shapes hold for the whole stack: A (N, n, n), B (N, n, m), Q (N, n, n),
+    R (N, m, m), else InputError. Finiteness, and the symmetry and
+    definiteness of Q and R, are judged per item: errors[i] is None or the
+    first InputError of item i, in the order validate_lqr_data reports them.
+    """
+    A, B, Q, R = stacks = tuple(_as_float(X, name) for X, name in zip((A, B, Q, R), "ABQR"))
+    for X, name in zip(stacks, "ABQR"):
+        if X.ndim != 3:
+            raise InputError(f"{name} must be 2-D, got ndim={X.ndim - 1}")
+    n, m = A.shape[1], B.shape[2]
+    _check_shape(A.shape[1:], "A", square=True)
+    _check_shape(B.shape[1:], "B", rows=n)
+    _check_shape(Q.shape[1:], "Q", rows=n, cols=n)
+    _check_shape(R.shape[1:], "R", rows=m, cols=m)
+    if not len(A) == len(B) == len(Q) == len(R):
+        raise InputError("A, B, Q and R must stack the same number of items")
+    errors = [None] * len(A)
+
+    def flag(ok, message):
+        """Book message for the items failing ok; True when none does."""
+        if np.count_nonzero(ok) == len(ok):
+            return True
+        for i in np.flatnonzero(~ok):
+            errors[i] = errors[i] or InputError(message)
+        return False
+
+    for X, name in zip(stacks, "ABQR"):
+        finite = np.logical_and.reduce(np.isfinite(X), axis=(1, 2))
+        if not flag(finite, f"{name} contains NaN or Inf entries") and name in "QR":
+            X = np.where(finite[:, None, None], X, 0.0)  # that item already failed
+        if name in "QR":
+            flag(is_symmetric(X), f"{name} must be symmetric")
+            flag(is_positive_definite(X), f"{name} must be positive definite")
+    return A, B, Q, R, errors
+
+
 def validate_lqr_data(A, B, Q, R):
     """Validate LQR data once: finite A (n x n), B (n x m), SPD Q and R."""
-    A = as_matrix(A, "A", square=True)
-    B = as_matrix(B, "B", rows=len(A))
-    Q = require_spd(as_matrix(Q, "Q", rows=len(A), cols=len(A)), "Q")
-    R = require_spd(as_matrix(R, "R", rows=B.shape[1], cols=B.shape[1]), "R")
-    return A, B, Q, R
+    stacks = (_as_float(X, name)[None] for X, name in zip((A, B, Q, R), "ABQR"))
+    *data, errors = _validate_stack(*stacks)
+    if errors[0] is not None:
+        raise errors[0]
+    return tuple(X[0] for X in data)
 
 
 def _sign(Z, F=None):
-    """(S, F, steps): sign of Z by the Newton iteration Z <- (cZ + (cZ)^{-1}) / 2,
-    c = |det Z|^{-1/N} (N = len(Z)) while the last relative step exceeds 1e-2, else 1.
+    """(S, F, steps, errors): the sign of each item of the stack Z (N, k, k) by
+    the Newton iteration Z <- (cZ + (cZ)^{-1}) / 2, c = |det Z|^{-1/k} while
+    the item's last relative step exceeds 1e-2, else 1.
 
-    Given F, the iterate is [[Z, F], [0, -Z']], whose inverse holds Z^{-1} F Z^{-T}
-    in F's place; F comes back as that block of the sign. An imaginary-axis
-    eigenvalue raises ResonantSpectrumError: as a singular iterate (zero
-    determinant, non-finite inverse, halves cancelling to 1/RESONANCE_COND_LIMIT
-    of their size) or a stall (over log2(RESONANCE_COND_LIMIT) = 46 steps above
-    1e-2; at relative distance d from the axis an eigenvalue needs log2(1/d)).
-    CARE_MAX_ITER steps raise NonconvergentError (residual: the last step).
+    F, if given, is a stack of M <= N matrices carried by the first M items:
+    such an iterate is [[Z, F], [0, -Z']], whose inverse holds Z^{-1} F Z^{-T}
+    in F's place, and F comes back as that block of the sign. Items stop on
+    their own. errors[i] is None, ResonantSpectrumError for an imaginary-axis
+    eigenvalue (a singular iterate: zero determinant, non-finite inverse,
+    halves cancelling to 1/RESONANCE_COND_LIMIT of their size; or a stall:
+    over log2(RESONANCE_COND_LIMIT) = 46 steps above 1e-2, where at relative
+    distance d from the axis an eigenvalue needs log2(1/d)), or
+    NonconvergentError after CARE_MAX_ITER steps (residual: the last step).
+    A failed item's S and F are NaN and its steps 0. The running items are
+    stepped as one array, compacted only when an item stops.
     """
-    step, far = np.inf, 0
-    for k in range(1, CARE_MAX_ITER + 1):
-        sign, logdet = np.linalg.slogdet(Z)
-        if sign:
-            c = np.exp(-logdet / len(Z)) if step > 1e-2 else 1.0
-            Zi = np.linalg.inv(Z)
-            Z_next = (c * Z + Zi / c) / 2.0
-            size = np.linalg.norm(Z, 1)
-        if (
-            not sign
-            or not c * size <= RESONANCE_COND_LIMIT * np.linalg.norm(Z_next, 1) < np.inf
-            or far > np.log2(RESONANCE_COND_LIMIT)
-        ):
-            raise ResonantSpectrumError("imaginary-axis eigenvalue (singular or stalled sign)")
-        step = np.linalg.norm(Z_next - Z, 1) / size
-        Z = Z_next
-        done = step <= SIGN_STEP_TOL
+    N, k = len(Z), Z.shape[-1]
+    if not N:
+        return Z, F, np.zeros(0, dtype=int), []
+    M = None if F is None else len(F)
+    S = F_out = steps = None  # allocated when the first items stop, unless all stop at once
+    errors = [None] * N
+    live = np.arange(N)
+    size = _norm1(Z)
+    scaled = np.ones(N, dtype=bool)  # the item's last step exceeded 1e-2
+    far = np.zeros(N, dtype=int)  # steps above 1e-2 so far
+    stall = math.log2(RESONANCE_COND_LIMIT)
+
+    def resonant(keep):
+        for i in live[~keep]:
+            errors[i] = ResonantSpectrumError("imaginary-axis eigenvalue (singular or stalled sign)")
+
+    def stop(done):
+        """Record the items in done; allocate the outputs at the first stop."""
+        nonlocal S, F_out, steps
+        if S is None:
+            S, steps = _nan_like(Z, N), np.zeros(N, dtype=int)
+            F_out = None if F is None else _nan_like(F, M)
+        S[live[done]] = Z[done]
+        steps[live[done]] = it
         if F is not None:
-            F_next = (c * F + Zi @ F @ Zi.T / c) / 2.0
-            done = done and np.linalg.norm(F_next - F, 1) <= SIGN_STEP_TOL * np.linalg.norm(F, 1)
-            F = F_next
-        if done:
-            return Z, F, k
-        far += step > 1e-2
-    raise NonconvergentError(
-        f"nonconvergent: sign iteration at relative step {step:.3e} after {CARE_MAX_ITER} steps",
-        residual=step,
-    )
+            F_out[live[: len(F)][done[: len(F)]]] = F[done[: len(F)]]
+
+    # Masks are tested with count_nonzero, several times cheaper than any/all;
+    # F, riding on the first items, follows every compaction through keep[:len(F)].
+    # One item's overflow must not stop the others or warn for the whole stack:
+    # a non-finite iterate fails that item through the checks below.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for it in range(1, CARE_MAX_ITER + 1):
+            n_scaled = np.count_nonzero(scaled)
+            if n_scaled:
+                c = np.exp(np.linalg.slogdet(Z)[1] * (-1.0 / k))
+                if n_scaled < len(live):
+                    c[~scaled] = 1.0
+            else:
+                c = np.ones(len(live))
+            c3 = c[:, None, None]
+            try:
+                Zi = np.linalg.inv(Z)
+            except np.linalg.LinAlgError:
+                # An exactly singular item; slogdet shares inv's LU, so its sign is 0.
+                keep = np.linalg.slogdet(Z)[0] != 0
+                resonant(keep)
+                live, Z, size, scaled, far, c, c3 = _compact(keep, live, Z, size, scaled, far, c, c3)
+                F = _ride(F, keep)
+                if not len(live):
+                    break
+                Zi = np.linalg.inv(Z)
+            Z_next = (c3 * Z + Zi / c3) / 2.0
+            size_next = _norm1(Z_next)
+            bound = RESONANCE_COND_LIMIT * size_next
+            keep = (c * size <= bound) & (bound < np.inf)
+            if it > stall:
+                keep &= far <= stall
+            if np.count_nonzero(keep) < len(live):
+                resonant(keep)
+                live, Z, c3, Zi, Z_next, size, size_next, far = _compact(
+                    keep, live, Z, c3, Zi, Z_next, size, size_next, far
+                )
+                F = _ride(F, keep)
+                if not len(live):
+                    break
+            step = _norm1(Z_next - Z) / size
+            Z, size = Z_next, size_next
+            if F is not None:
+                m = len(F)
+                F_next = (c3[:m] * F + Zi[:m] @ F @ _t(Zi[:m]) / c3[:m]) / 2.0
+            scaled = step > 1e-2
+            far += scaled
+            if np.count_nonzero(scaled) == len(live):
+                if F is not None:
+                    F = F_next
+                continue
+            done = step <= SIGN_STEP_TOL
+            if F is not None:
+                if np.count_nonzero(done[:m]):
+                    dF = _norm1(F_next - F)
+                    # F overflows only beside an eigenvalue within rounding of
+                    # zero; such an item would step on to the cap.
+                    blown = done[:m] & ~(dF < np.inf)
+                    done[:m] &= dF <= SIGN_STEP_TOL * _norm1(F)
+                    if np.count_nonzero(blown):
+                        keep = np.ones(len(live), dtype=bool)
+                        keep[:m] = ~blown
+                        resonant(keep)
+                        live, Z, size, scaled, far, step, done = _compact(
+                            keep, live, Z, size, scaled, far, step, done
+                        )
+                        F, F_next = _ride(F, keep), _ride(F_next, keep)
+                        if not len(live):
+                            break
+                F = F_next
+            n_done = np.count_nonzero(done)
+            if n_done == N:
+                return Z, F, np.full(N, it), errors
+            if n_done:
+                stop(done)
+                live, Z, size, scaled, far, step = _compact(~done, live, Z, size, scaled, far, step)
+                F = _ride(F, ~done)
+                if not len(live):
+                    break
+    for i, s in zip(live, step if len(live) else ()):
+        errors[i] = NonconvergentError(
+            f"nonconvergent: sign iteration at relative step {s:.3e} after {CARE_MAX_ITER} steps",
+            residual=float(s),
+        )
+    if S is None:
+        S, steps = _nan_like(Z, N), np.zeros(N, dtype=int)
+        F_out = None if F is None else _nan_like(F, M)
+    return S, F_out, steps, errors
+
+
+def _ride(F, keep):
+    """The items of F, carried by the first len(F) items of a stack, that keep keeps."""
+    return None if F is None else _compact(keep[: len(F)], F)[0]
 
 
 def _unstable_count(A, shift):
-    """Count of eigenvalues of A right of -shift: (n + trace sign(A + shift I)) / 2."""
-    S, _, _ = _sign(A + shift * np.eye(len(A)))
-    return round((len(A) + np.trace(S)) / 2.0)
+    """(counts, errors): per item, the count of eigenvalues of A right of
+    -shift, (k + trace sign(A + shift I)) / 2; NaN where the sign failed."""
+    k = A.shape[-1]
+    S, _, _, errors = _sign(A + shift[:, None, None] * np.eye(k))
+    return np.rint((k + np.trace(S, axis1=-2, axis2=-1)) / 2.0), errors
+
+
+def _lyapunov(A, Q):
+    """(X, errors): solve_lyapunov for each item of the stacks A and Q.
+
+    One sign run serves both parts of an item: sign([[A', Q], [0, -A]]) on
+    the first N items and the Hurwitz count sign(A + tI) on the last N.
+    """
+    N, k = A.shape[:2]
+    t = _norm1(A) / RESONANCE_COND_LIMIT
+    S, F, _, sign_errors = _sign(np.concatenate([_t(A), A + t[:, None, None] * np.eye(k)]), Q)
+    unstable = np.rint((k + np.trace(S[N:], axis1=-2, axis2=-1)) / 2.0)
+    X = (F + _t(F)) / 4.0
+    ok = unstable == 0
+    if np.count_nonzero(ok) == N:
+        return X, sign_errors[:N]
+    X[~ok] = np.nan
+    errors = [sign_errors[i] if ok[i] else sign_errors[N + i] for i in range(N)]
+    suspect = np.flatnonzero(unstable > 0)
+    # An eigenvalue within t of the axis is counted at shift t but not at -t.
+    again, again_errors = _unstable_count(A[suspect], -t[suspect])
+    for i, count, error in zip(suspect, again, again_errors):
+        if error is None and count == unstable[i]:
+            error = InputError("A must be Hurwitz")
+        errors[i] = error or ResonantSpectrumError("eigenvalue within rounding of the imaginary axis")
+    return X, errors
+
+
+def _hurwitz(A):
+    """is_hurwitz for each item of the stack A."""
+    counts, _ = _unstable_count(A, _norm1(A) / RESONANCE_COND_LIMIT)
+    return counts == 0
 
 
 def solve_lyapunov(A, Q):
@@ -189,15 +428,10 @@ def solve_lyapunov(A, Q):
     Q = as_matrix(Q, "Q", rows=len(A), cols=len(A))
     if not is_symmetric(Q, tol=1e-8):
         raise InputError("Q must be symmetric")
-    t = np.linalg.norm(A, 1) / RESONANCE_COND_LIMIT
-    unstable = _unstable_count(A, t)
-    # An eigenvalue within t of the axis is counted at shift t but not at -t.
-    if unstable and _unstable_count(A, -t) == unstable:
-        raise InputError("A must be Hurwitz")
-    if unstable:
-        raise ResonantSpectrumError("eigenvalue within rounding of the imaginary axis")
-    _, F, _ = _sign(A.T, Q)
-    return (F + F.T) / 4.0
+    X, errors = _lyapunov(A[None], Q[None])
+    if errors[0] is not None:
+        raise errors[0]
+    return X[0]
 
 
 def is_hurwitz(A):
@@ -206,10 +440,7 @@ def is_hurwitz(A):
     the axis. A singular, stalled or nonconvergent iteration is not Hurwitz.
     """
     A = as_matrix(A, "A", square=True)
-    try:
-        return _unstable_count(A, np.linalg.norm(A, 1) / RESONANCE_COND_LIMIT) == 0
-    except SolverError:
-        return False
+    return bool(_hurwitz(A[None])[0])
 
 
 def bass_stabilizing_gain(A, B):
@@ -262,58 +493,182 @@ class CareResult:
         return float(np.sqrt(self.h2_squared))
 
 
+@dataclass
+class CareStack:
+    """Per-item results of solve_care_stack over N problems of one size.
+
+    P (N, n, n), K (N, m, n), residual and iterations (N,) are CareResult's
+    fields item by item, and h2 (N,) its h2. errors[i] is None or the
+    exception solve_care raises for item i, whose P, K, residual and h2 are
+    then NaN.
+    """
+
+    P: np.ndarray
+    K: np.ndarray
+    residual: np.ndarray
+    iterations: np.ndarray
+    errors: list
+
+    @property
+    def h2(self):
+        return np.sqrt(np.trace(self.P, axis1=-2, axis2=-1))
+
+    def item(self, i):
+        """Item i as a CareResult; raises the item's error if it failed."""
+        if self.errors[i] is not None:
+            raise self.errors[i]
+        return CareResult(
+            P=self.P[i], K=self.K[i], residual=float(self.residual[i]),
+            iterations=int(self.iterations[i]),
+        )
+
+
+def _care_defect(A, B, Q, R, P):
+    """(K, quad, defect) at P: the gain R^{-1} B' P, the quadratic term and
+    the Riccati defect A'P + PA - quad + Q, stacked. The quadratic term is
+    (PB) R^{-1} (PB)', since P G P loses digits at large ||P||."""
+    PB = P @ B
+    K = np.linalg.solve(R, _t(PB))
+    quad = PB @ K
+    return K, quad, _t(A) @ P + P @ A - quad + Q
+
+
+def _lstsq(M, b):
+    """Least-squares solution of M X = b for each item, through the SVD of M;
+    singular values below max(M.shape) eps of the largest count as zero, as
+    in np.linalg.lstsq(rcond=None), which takes no stack."""
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    big = s > max(M.shape[-2:]) * np.finfo(float).eps * s[..., :1]
+    Ub = np.divide(_t(U) @ b, s[..., None], out=np.zeros(s.shape + b.shape[-1:]), where=big[..., None])
+    return _t(Vt) @ Ub
+
+
+def _unstabilizable(exc):
+    error = UnstabilizableError("unstabilizable or ill-conditioned pair: no stabilizing solution")
+    error.__cause__ = exc
+    return error
+
+
+def solve_care_stack(A, B, Q, R):
+    """Solve A'P + PA - P B R^{-1} B' P + Q = 0 for the stabilizing SPD P of
+    every item of the stacks A (N, n, n), B (N, n, m), Q (N, n, n) and
+    R (N, m, m). Returns a CareStack.
+
+    With G = B R^{-1} B', the sign W of the balanced Hamiltonian [[A, -rho G],
+    [-Q / rho, -A']] negates its stable subspace [I; P / rho], read off (W + I)
+    by least squares. Newton (Kleinman) steps P += dP polish P, where
+    (A - BK)' dP + dP (A - BK) + D(P) = 0 for the defect D(P): two for every
+    item, and more for an item still above tolerance while its residual falls.
+
+    An item's error is InputError for bad data; UnstabilizableError when the
+    Hamiltonian or a closed loop has an imaginary-axis eigenvalue, the
+    solution does not stabilize, or the pair's residual floor exceeds the
+    tolerance; NonconvergentError when a sign iteration hits CARE_MAX_ITER or
+    the residual exceeds CARE_RESIDUAL_TOL * max(1, ||Q||_F); SolverError when
+    P fails the definiteness or A - BK the Hurwitz certificate. Stacks whose
+    shapes do not fit raise InputError.
+    """
+    A, B, Q, R, errors = _validate_stack(A, B, Q, R)
+    N, n, m = B.shape
+    iterations = np.zeros(N, dtype=int)
+    live = np.arange(N)
+
+    def book(item_errors, wrap=lambda exc: exc):
+        """Record the live items' errors; the mask of the items still going,
+        None when all are."""
+        if not any(item_errors):
+            return None
+        for i, exc in zip(live, item_errors):
+            if exc is not None:
+                errors[i] = wrap(exc)
+        return np.array([exc is None for exc in item_errors], dtype=bool)
+
+    def certify(ok, message):
+        return book([None if x else SolverError(message) for x in ok])
+
+    def as_care_error(exc):
+        return _unstabilizable(exc) if isinstance(exc, (InputError, ResonantSpectrumError)) else exc
+
+    live, A, B, Q, R = _compact(book(errors), live, A, B, Q, R)
+    G = B @ np.linalg.solve(R, _t(B))
+    g = _norm1(G)
+    rho = np.sqrt(np.divide(_norm1(Q), g, out=np.ones_like(g), where=g > 0))[:, None, None]
+    H = np.empty((len(live), 2 * n, 2 * n))
+    H[:, :n, :n], H[:, :n, n:] = A, -rho * G
+    H[:, n:, :n], H[:, n:, n:] = -Q / rho, -_t(A)
+    W, _, iterations[live], sign_errors = _sign(H)
+    keep = book(sign_errors, as_care_error)
+    live, A, B, Q, R, rho, W = _compact(keep, live, A, B, Q, R, rho, W)
+    W += np.eye(2 * n)  # (W + I) [I; P / rho] = 0
+    P = rho * _lstsq(W[:, :, n:], -W[:, :, :n])
+    P = (P + _t(P)) / 2.0
+    K, quad, defect = _care_defect(A, B, Q, R, P)
+    for _ in range(2):
+        dP, lyap_errors = _lyapunov(A - B @ K, (defect + _t(defect)) / 2.0)
+        keep = book(lyap_errors, as_care_error)
+        live, A, B, Q, R, P, dP = _compact(keep, live, A, B, Q, R, P, dP)
+        P = P + dP
+        K, quad, defect = _care_defect(A, B, Q, R, P)
+
+    residual = _fro(defect)
+    tol = CARE_RESIDUAL_TOL * np.maximum(1.0, _fro(Q))
+    # Items still above tolerance take further steps while their residual falls.
+    todo = np.flatnonzero(residual > tol)
+    for _ in range(CARE_MAX_ITER):
+        if not todo.size:
+            break
+        a, b, k, d = A[todo], B[todo], K[todo], defect[todo]
+        dP, lyap_errors = _lyapunov(a - b @ k, (d + _t(d)) / 2.0)
+        solved = np.array([e is None for e in lyap_errors], dtype=bool)
+        todo, dP = todo[solved], dP[solved]
+        P_try = P[todo] + dP
+        K_try, quad_try, defect_try = _care_defect(A[todo], B[todo], Q[todo], R[todo], P_try)
+        res_try = _fro(defect_try)
+        fell = res_try < residual[todo]
+        todo = todo[fell]
+        P[todo], K[todo], quad[todo] = P_try[fell], K_try[fell], quad_try[fell]
+        defect[todo], residual[todo] = defect_try[fell], res_try[fell]
+        todo = todo[residual[todo] > tol[todo]]
+
+    over = residual > tol
+    if np.count_nonzero(over):
+        # The attainable floor: rounding in A'P + PA, in the quadratic term and
+        # inside PB, and in Q.
+        scale = 2.0 * _fro(_t(A) @ P) + _fro(quad) + _fro(Q) + _fro(P) * _fro(B) * _fro(K)
+        floor = residual <= RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps * scale
+        for j in np.flatnonzero(over):
+            if floor[j]:
+                errors[live[j]] = UnstabilizableError(
+                    "unstabilizable or ill-conditioned pair: the attainable residual floor "
+                    f"({residual[j]:.3e} at solution scale {scale[j]:.3e}) exceeds the "
+                    "acceptance tolerance"
+                )
+            else:
+                errors[live[j]] = NonconvergentError(
+                    f"nonconvergent: residual {residual[j]:.3e} exceeds tolerance after "
+                    f"{iterations[live[j]]} sign steps",
+                    residual=float(residual[j]),
+                )
+        live, A, B, P, K, residual = _compact(~over, live, A, B, P, K, residual)
+
+    keep = certify(is_positive_definite(P), "Riccati solution failed the positive-definiteness check")
+    live, A, B, P, K, residual = _compact(keep, live, A, B, P, K, residual)
+    keep = certify(_hurwitz(A - B @ K), "closed loop failed the Hurwitz certificate")
+    live, P, K, residual = _compact(keep, live, P, K, residual)
+    if len(live) < N:
+        P, K, residual = (_scatter(X, live, N) for X in (P, K, residual))
+    return CareStack(P=P, K=K, residual=residual, iterations=iterations, errors=errors)
+
+
 def solve_care(A, B, Q, R):
     """Solve A'P + PA - P B R^{-1} B' P + Q = 0 for the stabilizing SPD P.
 
     A, B are (n, n) and (n, m); Q, R are SPD weights. Returns a CareResult.
-    With G = B R^{-1} B', the sign W of the balanced Hamiltonian [[A, -rho G],
-    [-Q / rho, -A']] negates its stable subspace [I; P / rho], read off (W + I)
-    by least squares. Two Newton (Kleinman) steps P += dP polish P, where
-    (A - BK)' dP + dP (A - BK) + D(P) = 0 for the defect D(P).
-
-    Raises InputError for bad data; UnstabilizableError when the Hamiltonian
-    or a closed loop has an imaginary-axis eigenvalue, the solution does not
-    stabilize, or the pair's residual floor exceeds the tolerance;
-    NonconvergentError when a sign iteration hits CARE_MAX_ITER or the
-    residual exceeds CARE_RESIDUAL_TOL * max(1, ||Q||_F).
+    This is solve_care_stack on a stack of one, whose docstring gives the
+    method; the item's error is raised: InputError for bad data,
+    UnstabilizableError for an unstabilizable or ill-conditioned pair,
+    NonconvergentError when the iteration or the residual misses its bound,
+    SolverError when a certificate fails.
     """
-    A, B, Q, R = validate_lqr_data(A, B, Q, R)
-    n = A.shape[0]
-    try:
-        G = B @ np.linalg.solve(R, B.T)
-        rho = np.sqrt(np.linalg.norm(Q, 1) / np.linalg.norm(G, 1)) if G.any() else 1.0
-        W, _, iterations = _sign(np.block([[A, -rho * G], [-Q / rho, -A.T]]))
-        W += np.eye(2 * n)  # (W + I) [I; P / rho] = 0
-        P = rho * np.linalg.lstsq(W[:, n:], -W[:, :n], rcond=None)[0]
-        P = (P + P.T) / 2.0
-        for newton in range(3):
-            # Quadratic term as (PB) R^{-1} (PB)': P G P loses digits at large ||P||.
-            PB = P @ B
-            K = np.linalg.solve(R, PB.T)
-            quad = PB @ K
-            defect = A.T @ P + P @ A - quad + Q
-            if newton < 2:
-                P = P + solve_lyapunov(A - B @ K, (defect + defect.T) / 2.0)
-    except (InputError, ResonantSpectrumError) as exc:
-        raise UnstabilizableError(
-            "unstabilizable or ill-conditioned pair: no stabilizing solution"
-        ) from exc
-
-    residual = float(np.linalg.norm(defect))
-    if residual > CARE_RESIDUAL_TOL * max(1.0, np.linalg.norm(Q)):
-        scale = 2.0 * np.linalg.norm(A.T @ P) + np.linalg.norm(quad) + np.linalg.norm(Q)
-        if residual <= RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps * scale:
-            raise UnstabilizableError(
-                "unstabilizable or ill-conditioned pair: the attainable residual floor "
-                f"({residual:.3e} at solution scale {scale:.3e}) exceeds the acceptance tolerance"
-            )
-        raise NonconvergentError(
-            f"nonconvergent: residual {residual:.3e} exceeds tolerance after "
-            f"{iterations} sign steps",
-            residual=residual,
-        )
-    if not is_positive_definite(P):
-        raise SolverError("Riccati solution failed the positive-definiteness check")
-    if not is_hurwitz(A - B @ K):
-        raise SolverError("closed loop failed the Hurwitz certificate")
-    return CareResult(P=P, K=K, residual=residual, iterations=iterations)
+    stacks = (_as_float(X, name)[None] for X, name in zip((A, B, Q, R), "ABQR"))
+    return solve_care_stack(*stacks).item(0)

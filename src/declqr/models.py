@@ -18,7 +18,7 @@ import numpy as np
 from .decentral import RATIO_TOL, approx_equal
 from .errors import InputError
 from .lqr import LqrProblem
-from .matcore import as_positive_real
+from .matcore import as_count, as_positive_real
 from .spectral import CirculantSpec, identity_spec
 
 
@@ -72,10 +72,11 @@ def diffusion_operator(n, delta=1.0):
     (2 cos(2 pi k / n) - 2) / delta^2, all nonpositive. n = 2 would fold the
     two neighbor offsets onto the same entry and is rejected.
     """
+    n = as_count(n, "n")
     if n < 3:
         raise InputError("wrap-around collision: the ring needs n >= 3 sites")
     delta = as_positive_real(delta, "delta")
-    row = np.zeros(int(n))
+    row = np.zeros(n)
     row[0] = -2.0
     row[1] = 1.0
     row[-1] = 1.0
@@ -84,10 +85,11 @@ def diffusion_operator(n, delta=1.0):
 
 def forward_difference_operator(n, delta=1.0):
     """Forward-difference circulant with first row (1/delta) * [-1, 1, 0, ..., 0]."""
+    n = as_count(n, "n")
     if n < 2:
         raise InputError("forward difference needs n >= 2 sites")
     delta = as_positive_real(delta, "delta")
-    row = np.zeros(int(n))
+    row = np.zeros(n)
     row[0] = -1.0
     row[1] = 1.0
     return CirculantSpec(row / delta)

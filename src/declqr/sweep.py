@@ -1,7 +1,8 @@
 """Parameter sweeps of the 2x2 cost-landscape system.
 
-Each sweep kind is one problem builder in PROBLEM_BUILDERS, mapping a grid
-point (axis1, axis2) to an LqrProblem; run_sweep is the one grid loop:
+Each sweep kind is one problem builder in PROBLEM_BUILDERS, mapping the
+axis values of the grid points (axis1, axis2) to stacked (A, B, Q, R); run_sweep
+solves the whole stack at once:
 
 * "qr":  vary the state-weight ratio q0/q2 (axis1) and the input-weight ratio
          gamma0/gamma2 (axis2) for the fixed plant [[1, 1], [-1, 1]];
@@ -10,9 +11,11 @@ point (axis1, axis2) to an LqrProblem; run_sweep is the one grid loop:
          at every point; the decentralization locus q0 = 1/a2 is sampled as a
          parametric curve alongside the grid.
 
-Every grid point goes through decentral.oracle_check and records
-h2 = sqrt(trace P), the oracle decentralization verdict and off-pattern mass;
-failed solves carry a status tag instead of a fabricated value. Output is a
+The grid points (and the qa locus samples) go through one
+matcore.solve_care_stack call and one decentral.pattern_decentralized call on
+the stack of gains; each records h2 = sqrt(trace P), the oracle
+decentralization verdict and off-pattern mass, and a failed solve carries its
+status tag instead of a fabricated value. Output is a
 CSV (fixed column order, floats with 17 significant digits, records sorted by
 grid indices, so identical configs give byte-identical files) plus a JSON
 sidecar with the config and summary statistics.
@@ -23,38 +26,45 @@ from typing import Optional
 
 import numpy as np
 
-from .decentral import oracle_check
-from .errors import InputError, SolverError
-from .lqr import LqrProblem
-from .matcore import as_real
+from .decentral import pattern_decentralized, single_station_neighborhoods
+from .errors import InputError
+from .matcore import as_count, as_real, solve_care_stack
 from .serialize import dumps_json, format_float
 
 CSV_COLUMNS = ("axis1", "axis2", "h2", "decentralized", "offdiag_mass", "status")
 
 
+def _plants(a2):
+    """Stacked plants [[1, 1], [-1, a2]], one per entry of a2."""
+    A = np.empty((len(a2), 2, 2))
+    A[:] = [[1.0, 1.0], [-1.0, 0.0]]
+    A[:, 1, 1] = a2
+    return A
+
+
+def _diagonals(d0, d1):
+    """Stacked diagonal matrices diag(d0, d1)."""
+    D = np.zeros((len(d0), 2, 2))
+    D[:, 0, 0], D[:, 1, 1] = d0, d1
+    return D
+
+
 def _qr_problem(q_ratio, g_ratio):
     """Plant [[1, 1], [-1, 1]] with q2 = 1 and gamma0 = 1, so Q = diag(q0/q2, 1)
     and R = diag(1, gamma0/gamma2)."""
-    return LqrProblem(
-        A=np.array([[1.0, 1.0], [-1.0, 1.0]]),
-        B=np.eye(2),
-        Q=np.diag([q_ratio, 1.0]),
-        R=np.diag([1.0, g_ratio]),
-    )
+    one = np.ones(len(q_ratio))
+    return _plants(one), _diagonals(one, one), _diagonals(q_ratio, one), _diagonals(one, g_ratio)
 
 
 def _qa_problem(q0, a2):
     """Plant [[1, 1], [-1, a2]] with gamma2 = 1/q0 (the input-weight ratio
     condition at gamma0 = 1, q2 = 1), so Q = diag(q0, 1) and R = diag(1, q0)."""
-    return LqrProblem(
-        A=np.array([[1.0, 1.0], [-1.0, a2]]),
-        B=np.eye(2),
-        Q=np.diag([q0, 1.0]),
-        R=np.diag([1.0, q0]),
-    )
+    one = np.ones(len(q0))
+    return _plants(a2), _diagonals(one, one), _diagonals(q0, one), _diagonals(one, q0)
 
 
-# Sweep kind -> problem builder of a grid point (axis1, axis2).
+# Sweep kind -> problem builder: axis1 and axis2 values of N points to
+# stacked (A, B, Q, R) of N problems.
 PROBLEM_BUILDERS = {"qr": _qr_problem, "qa": _qa_problem}
 
 
@@ -62,13 +72,6 @@ def _text(value, what):
     if not isinstance(value, str):
         raise InputError(f"{what} must be a string, got {value!r}")
     return value
-
-
-def _count(value, what):
-    x = as_real(value, what)
-    if not x.is_integer():
-        raise InputError(f"{what} must be an integer, got {value!r}")
-    return int(x)
 
 
 @dataclass
@@ -83,7 +86,7 @@ class SweepAxis:
         self.name = _text(self.name, "axis name")
         self.lo = as_real(self.lo, f"axis '{self.name}' min")
         self.hi = as_real(self.hi, f"axis '{self.name}' max")
-        self.steps = _count(self.steps, f"axis '{self.name}' steps")
+        self.steps = as_count(self.steps, f"axis '{self.name}' steps")
         if self.steps < 2:
             raise InputError(f"axis '{self.name}' needs at least 2 steps")
         if not self.lo < self.hi:
@@ -119,7 +122,7 @@ class SweepConfig:
     def __post_init__(self):
         if _text(self.kind, "sweep kind") not in PROBLEM_BUILDERS:
             raise InputError("sweep kind must be 'qr' or 'qa'")
-        self.curve_samples = _count(self.curve_samples, "curve_samples")
+        self.curve_samples = as_count(self.curve_samples, "curve_samples")
         if self.curve_samples < 2:
             raise InputError("curve_samples must be at least 2")
         if self.output is not None:
@@ -241,56 +244,50 @@ class SweepResult:
         return out
 
 
-def _evaluate_point(prob_builder, x1, x2):
-    try:
-        report = oracle_check(prob_builder(x1, x2))
-        return GridRecord(
-            axis1=float(x1),
-            axis2=float(x2),
-            h2=report.h2,
-            decentralized=report.oracle_decentralized,
-            offdiag_mass=report.offdiag_mass,
-            status="ok",
-        )
-    except (InputError, SolverError) as exc:
-        return GridRecord(
-            axis1=float(x1),
-            axis2=float(x2),
-            h2=None,
-            decentralized=None,
-            offdiag_mass=None,
-            status=type(exc).__name__,
-        )
-
-
 def run_sweep(cfg):
     """Evaluate every grid point of cfg with its kind's problem builder.
 
     A "qa" sweep also samples the locus q0 = 1/a2 (so gamma2 = a2) at
     curve_samples values of a2 spaced like axis2. Samples with a2 <= 0 break
     the same-sign condition on the self terms and are excluded with a reason,
-    as are samples whose solve fails.
+    as are samples whose solve fails. Grid and locus are solved as one stack.
     """
-    build = PROBLEM_BUILDERS[cfg.kind]
+    x1, x2 = (g.ravel() for g in np.meshgrid(cfg.axis1.grid(), cfg.axis2.grid(), indexing="ij"))
+    points = len(x1)
+    curve_a2 = replace(cfg.axis2, steps=cfg.curve_samples).grid() if cfg.kind == "qa" else []
+    locus = [a2 for a2 in curve_a2 if a2 > 0]
+    x1 = np.concatenate([x1, 1.0 / np.array(locus, dtype=float)])
+    x2 = np.concatenate([x2, locus])
+    sol = solve_care_stack(*PROBLEM_BUILDERS[cfg.kind](x1, x2))
+    solved = np.array([exc is None for exc in sol.errors], dtype=bool)
+    decentralized, mass = np.zeros(len(x1), dtype=bool), np.zeros(len(x1))
+    if solved.any():
+        decentralized[solved], mass[solved] = pattern_decentralized(
+            sol.K[solved], single_station_neighborhoods(2)
+        )
+    rows = zip(
+        x1.tolist(), x2.tolist(), sol.h2.tolist(), decentralized.tolist(), mass.tolist(),
+        sol.errors,
+    )
     records = [
-        _evaluate_point(build, x1, x2) for x1 in cfg.axis1.grid() for x2 in cfg.axis2.grid()
+        GridRecord(a1, a2, h2, dec, off, "ok") if exc is None
+        else GridRecord(a1, a2, None, None, None, type(exc).__name__)
+        for a1, a2, h2, dec, off, exc in rows
     ]
-    result = SweepResult(config=cfg, records=records)
-    if cfg.kind != "qa":
-        return result
-    for a2 in replace(cfg.axis2, steps=cfg.curve_samples).grid():
+    result = SweepResult(config=cfg, records=records[:points])
+    on_locus = iter(records[points:])
+    for a2 in curve_a2:
         if a2 <= 0:
             result.curve_excluded.append((float(a2), "a2 <= 0 breaks the same-sign condition"))
             continue
-        q0 = 1.0 / a2
-        rec = _evaluate_point(build, q0, a2)
+        rec = next(on_locus)
         if rec.status != "ok":
             result.curve_excluded.append((float(a2), rec.status))
             continue
         result.curve.append(
             CurveSample(
                 a2=float(a2),
-                q0=float(q0),
+                q0=rec.axis1,
                 gamma2=float(a2),
                 h2=rec.h2,
                 decentralized=rec.decentralized,

@@ -194,6 +194,13 @@ class TestSynthesizeDiagonalCost:
         assert sys2.gamma0 == pytest.approx(1.0)
         assert oracle_check(sys2.lqr_problem()).oracle_decentralized
 
+    @pytest.mark.parametrize("position", range(4))
+    def test_plant_entries_must_be_numbers(self, position):
+        entries = [1.0, 1.0, -1.0, 1.0]
+        entries[position] = "1"
+        with pytest.raises(InputError, match="must be a number"):
+            synthesize_diagonal_cost(*entries)
+
     def test_sign_preconditions_enforced(self):
         with pytest.raises(InputError, match="positivity of cost impossible"):
             synthesize_diagonal_cost(1.0, 1.0, 1.0, 1.0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_continuous_are
 
 import declqr.matcore as matcore
@@ -7,10 +9,12 @@ from declqr import (
     InputError,
     NonconvergentError,
     ResonantSpectrumError,
+    SolverError,
     UnstabilizableError,
     bass_stabilizing_gain,
     is_hurwitz,
     solve_care,
+    solve_care_stack,
     solve_lyapunov,
 )
 from helpers import random_spd, random_stabilizable_dense, solved_random_instance
@@ -76,6 +80,9 @@ class TestSolveLyapunov:
     def test_resonant_spectrum_raises(self):
         with pytest.raises(ResonantSpectrumError):
             solve_lyapunov([[0.0, 1.0], [-1.0, 0.0]], np.eye(2))
+        # An eigenvalue within rounding of zero: no overflow warning escapes.
+        with pytest.raises(ResonantSpectrumError):
+            solve_lyapunov(np.diag([1e-300, -1.0]), np.eye(2))
 
     def test_weight_scale_is_free(self):
         for q in (1e-8, 1e8):
@@ -284,3 +291,106 @@ class TestSolveCare:
         with pytest.raises(NonconvergentError) as excinfo:
             matcore.solve_care([[1.0]], [[1.0]], [[1.0]], [[1.0]])
         assert excinfo.value.residual is not None
+
+    def test_floor_limited_large_input_matrix_is_unstabilizable(self):
+        # The seventh draw of this sampler with B scaled by 1e6 stalls at a
+        # residual of about 1.4e-7 against the 1e-8 tolerance. The rounding
+        # inside PB sets that floor (scipy's solver does no better), so the
+        # pair is ill-conditioned for 64-bit arithmetic, not nonconvergent.
+        rng = np.random.default_rng(31)
+        for _ in range(7):
+            A, B, Q, R = random_stabilizable_dense(rng)
+        with pytest.raises(UnstabilizableError, match="residual floor"):
+            solve_care(A, 1e6 * B, Q, R)
+
+    def test_large_input_matrix_takes_kleinman_steps_to_tolerance(self):
+        # With B scaled by 1e6, the 73rd draw is still above tolerance after
+        # the usual two Kleinman steps; further steps reach it.
+        rng = np.random.default_rng(31)
+        for _ in range(73):
+            A, B, Q, R = random_stabilizable_dense(rng)
+        res = solve_care(A, 1e6 * B, Q, R)
+        assert res.residual <= 1e-8 * max(1.0, np.linalg.norm(Q))
+        assert is_hurwitz(A - 1e6 * B @ res.K)
+
+
+def _same_size_instances(rng, count, n, m):
+    A = rng.uniform(-2.0, 2.0, (count, n, n))
+    B = rng.uniform(-2.0, 2.0, (count, n, m))
+    Q = np.array([random_spd(rng, n) for _ in range(count)])
+    R = np.array([random_spd(rng, m) for _ in range(count)])
+    return A, B, Q, R
+
+
+class TestSolveCareStack:
+    def test_mixed_stack_matches_one_by_one(self):
+        items = [
+            ([[1.0, 1.0], [-1.0, 1.0]], [[1.0], [0.5]], np.eye(2), [[1.0]]),
+            # Indefinite Q.
+            ([[1.0, 0.0], [0.0, -2.0]], [[1.0], [1.0]], np.diag([1.0, -1.0]), [[1.0]]),
+            # Unstabilizable: the unstable second mode gets no input.
+            (np.eye(2), [[1.0], [0.0]], np.eye(2), [[1.0]]),
+            # No input on a rotation: the Hamiltonian has eigenvalues +-i.
+            ([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [0.0]], np.eye(2), [[1.0]]),
+            ([[-1.0, 2.0], [0.0, 0.5]], [[0.0], [1.0]], np.diag([2.0, 1.0]), [[3.0]]),
+        ]
+        expected = [None, InputError, UnstabilizableError, UnstabilizableError, None]
+        out = solve_care_stack(*(np.array(X, dtype=float) for X in zip(*items)))
+        for i, (item, kind) in enumerate(zip(items, expected)):
+            if kind is None:
+                alone, got = solve_care(*item), out.item(i)
+                assert np.array_equal(got.P, alone.P) and np.array_equal(got.K, alone.K)
+                assert (got.residual, got.iterations) == (alone.residual, alone.iterations)
+                continue
+            assert type(out.errors[i]) is kind
+            with pytest.raises(kind) as excinfo:
+                solve_care(*item)
+            assert type(excinfo.value) is kind
+            assert np.isnan(out.P[i]).all() and np.isnan(out.h2[i])
+            with pytest.raises(kind):
+                out.item(i)
+
+    def test_item_is_bitwise_the_same_alone_and_in_a_stack(self):
+        stacks = _same_size_instances(np.random.default_rng(8), 24, 3, 2)
+        out = solve_care_stack(*stacks)
+        assert sum(e is None for e in out.errors) >= 20
+        for i in range(24):
+            alone = solve_care_stack(*(X[i : i + 1] for X in stacks))
+            assert type(alone.errors[0]) is type(out.errors[i])
+            for got, want in ((out.P, alone.P), (out.K, alone.K), (out.h2, alone.h2)):
+                assert np.array_equal(got[i], want[0], equal_nan=True)
+            assert out.residual[i] == alone.residual[0] or np.isnan(alone.residual[0])
+
+    def test_stack_shapes_must_fit(self):
+        A, B, Q, R = _same_size_instances(np.random.default_rng(9), 3, 2, 1)
+        with pytest.raises(InputError, match="same number of items"):
+            solve_care_stack(A, B, Q, R[:2])
+        with pytest.raises(InputError, match="Q must have 2 rows"):
+            solve_care_stack(A, B, np.ones((3, 3, 2)), R)
+        with pytest.raises(InputError, match="2-D"):
+            solve_care_stack(A[0], B, Q, R)
+
+
+@st.composite
+def lqr_stacks(draw):
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(1, n))
+    count = draw(st.integers(1, 5))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return _same_size_instances(np.random.default_rng(seed), count, n, m)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(lqr_stacks())
+def test_stacked_solve_agrees_with_one_by_one(stacks):
+    out = solve_care_stack(*stacks)
+    for i, item in enumerate(zip(*stacks)):
+        try:
+            alone = solve_care(*item)
+        except SolverError as exc:
+            assert type(out.errors[i]) is type(exc)
+            continue
+        assert out.errors[i] is None
+        for got, want in ((out.P[i], alone.P), (out.K[i], alone.K)):
+            assert np.linalg.norm(got - want) <= 1e-12 * max(1.0, np.linalg.norm(want))
+        assert abs(out.h2[i] - alone.h2) <= 1e-12 * alone.h2

@@ -129,6 +129,15 @@ class TestDiffusion:
         with pytest.raises(InputError, match="wrap-around"):
             diffusion_operator(2, 1.0)
 
+    @pytest.mark.parametrize("n", [4.7, "5", True, None], ids=["fraction", "string", "boolean", "null"])
+    @pytest.mark.parametrize("build", [diffusion_operator, forward_difference_operator])
+    def test_site_count_must_be_an_integer(self, build, n):
+        with pytest.raises(InputError, match="n must be"):
+            build(n)
+
+    def test_integral_float_site_count_accepted(self):
+        assert diffusion_operator(5.0).n == 5
+
     def test_forward_difference_factorization(self):
         # -D2 == D' D entrywise for the forward-difference circulant D.
         for n, delta in ((4, 1.0), (6, 0.5), (5, 1.0)):

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from declqr import InputError, SweepAxis, SweepConfig, run_sweep
+import declqr.decentral as decentral
+import declqr.sweep as sweep
+from declqr import InputError, LqrProblem, SweepAxis, SweepConfig, run_sweep
 from declqr.sweep import csv_text, sidecar_dict, write_outputs
 
 SQRT2 = np.sqrt(2.0)
@@ -82,6 +84,41 @@ class TestQrSweep:
         bad = [r for r in result.records if r.status != "ok"]
         assert bad and all(r.h2 is None for r in bad)
         assert all(r.status == "InputError" for r in bad)
+
+
+class TestStackedSolve:
+    def test_one_stacked_solve_and_no_per_point_calls(self, monkeypatch):
+        sizes = []
+        solve_stack = sweep.solve_care_stack
+
+        def counting(*stacks):
+            sizes.append(len(stacks[0]))
+            return solve_stack(*stacks)
+
+        def per_point(*args, **kwargs):
+            raise AssertionError("per-point call on the sweep path")
+
+        monkeypatch.setattr(sweep, "solve_care_stack", counting)
+        monkeypatch.setattr(decentral, "oracle_check", per_point)
+        monkeypatch.setattr(LqrProblem, "__post_init__", per_point)
+        cfg = SweepConfig(
+            kind="qa",
+            axis1=SweepAxis("q0", 0.5, 2.0, 3),
+            axis2=SweepAxis("a2_over_a0", 0.5, 2.0, 4),
+            curve_samples=5,
+        )
+        result = run_sweep(cfg)
+        assert sizes == [12 + 5]
+        assert len(result.records) == 12 and len(result.curve) == 5
+
+    def test_point_is_the_same_alone_and_in_a_larger_grid(self):
+        # Log grids keep their end points exactly, so the 2 x 2 grid's points
+        # are the corners of the 5 x 5 grid.
+        corners = {(r.axis1, r.axis2): r for r in run_sweep(small_qr_config(steps=5)).records}
+        small = run_sweep(small_qr_config(steps=2)).records
+        assert len(small) == 4
+        for rec in small:
+            assert corners[(rec.axis1, rec.axis2)] == rec
 
 
 class TestQaSweep:
