@@ -70,6 +70,13 @@ def normalize_neighborhoods(neighborhoods, n_inputs, n_states):
     return nbhd
 
 
+def _row_norms(X):
+    """Euclidean norm of each row of X by a dot product, as np.linalg.norm
+    takes it for one vector, so a stacked mass is bitwise the one-gain mass."""
+    X = np.ascontiguousarray(X)
+    return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
+
+
 def pattern_decentralized(K, neighborhoods):
     """Test whether K, or each gain of a stack K (N, m, n), conforms to the
     neighborhood sparsity pattern.
@@ -87,14 +94,11 @@ def pattern_decentralized(K, neighborhoods):
     off_mask = np.ones((m, n), dtype=bool)
     for i, nb in enumerate(nbhd):
         off_mask[i, sorted(nb)] = False
-    gains = K.reshape(-1, m, n)
-    off = gains[:, off_mask]
-    k_norm = np.sqrt(np.add.reduce(gains * gains, axis=(1, 2)))
+    gains = K.reshape(-1, m * n)
+    off = gains[:, off_mask.ravel()]
+    k_norm = _row_norms(gains)
     conforms = np.abs(off).max(axis=1, initial=0.0) <= ORACLE_TOL * np.maximum(1.0, k_norm)
-    mass = np.divide(
-        np.sqrt(np.add.reduce(off * off, axis=1)), k_norm,
-        out=np.zeros_like(k_norm), where=k_norm > 0,
-    )
+    mass = np.divide(_row_norms(off), k_norm, out=np.zeros_like(k_norm), where=k_norm > 0)
     if K.ndim == 2:
         return bool(conforms[0]), float(mass[0])
     return conforms, mass
@@ -116,9 +120,10 @@ class DecentralReport:
 def oracle_check(prob, neighborhoods=None):
     """Solve prob and judge the gain against the neighborhood pattern.
 
-    This is the one solve-then-judge path: the CLI checks and every sweep
-    point go through it. neighborhoods defaults to single-station sets, which
-    requires one input per state. Solver errors propagate.
+    The CLI checks judge their one problem here; run_sweep solves its whole
+    stack with solve_care_stack and judges it with one pattern_decentralized
+    call, under the same rule. neighborhoods defaults to single-station sets,
+    which requires one input per state. Solver errors propagate.
     """
     if neighborhoods is None:
         if prob.m != prob.n:

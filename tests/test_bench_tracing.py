@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 import declqr.cli  # noqa: F401  (the tracer wraps names in every declqr module)
-from declqr import LqrProblem, decentral
+from declqr import LqrProblem, decentral, solve_care
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -38,3 +38,20 @@ def test_tracer_installs_and_removes(monkeypatch):
     for (mod, attr), original in originals.items():
         assert getattr(sys.modules[f"declqr.{mod}"], attr) is original
 
+
+
+def test_riccati_solve_books_its_lyapunov_hurwitz_and_weight_checks(monkeypatch):
+    # The benchmark's per-layer metrics count these calls inside solve_care.
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        solve_care([[1.0, 1.0], [-1.0, 1.0]], np.eye(2), np.eye(2), np.eye(2))
+    finally:
+        tracer.remove()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("matcore.solve_lyapunov") >= 2
+    assert names.count("matcore.is_hurwitz") == 1
+    assert names.count("matcore.require_spd") == 2
+    assert tracer.lyapunov_operator_bytes > 0

@@ -63,6 +63,19 @@ class TestPatternDecentralized:
         assert ok
         assert mass == 0.0
 
+    def test_stack_is_judged_gain_by_gain(self):
+        # The mass of each gain in a stack is bitwise the mass np.linalg.norm
+        # gives it alone, so a sweep's figures match one-by-one checks.
+        rng = np.random.default_rng(4)
+        K = rng.standard_normal((40, 3, 3)) * rng.uniform(1e-3, 1e3, (40, 1, 1))
+        K[::3] *= np.eye(3)
+        ok, mass = pattern_decentralized(K, single_station_neighborhoods(3))
+        for i, gain in enumerate(K):
+            off = gain[~np.eye(3, dtype=bool)]
+            assert mass[i] == np.linalg.norm(off) / np.linalg.norm(gain)
+            assert (ok[i], mass[i]) == pattern_decentralized(gain, single_station_neighborhoods(3))
+        assert ok[::3].all() and not ok[1::3].any()
+
     def test_out_of_range_neighborhood(self):
         with pytest.raises(InputError):
             pattern_decentralized(np.eye(2), [{0}, {5}])

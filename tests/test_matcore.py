@@ -304,10 +304,10 @@ class TestSolveCare:
             solve_care(A, 1e6 * B, Q, R)
 
     def test_large_input_matrix_takes_kleinman_steps_to_tolerance(self):
-        # With B scaled by 1e6, the 73rd draw is still above tolerance after
-        # the usual two Kleinman steps; further steps reach it.
+        # With B scaled by 1e6, the 183rd draw is still above tolerance after
+        # the usual two Kleinman steps; two further steps reach it.
         rng = np.random.default_rng(31)
-        for _ in range(73):
+        for _ in range(183):
             A, B, Q, R = random_stabilizable_dense(rng)
         res = solve_care(A, 1e6 * B, Q, R)
         assert res.residual <= 1e-8 * max(1.0, np.linalg.norm(Q))
@@ -369,6 +369,47 @@ class TestSolveCareStack:
             solve_care_stack(A, B, np.ones((3, 3, 2)), R)
         with pytest.raises(InputError, match="2-D"):
             solve_care_stack(A[0], B, Q, R)
+
+
+class TestStackedPublicFunctions:
+    """solve_lyapunov, is_hurwitz and require_spd judge a stack item by item,
+    as the one-matrix calls would."""
+
+    def test_solve_lyapunov_stack(self):
+        A = np.array([
+            np.diag([-1.0, -3.0]),
+            [[0.0, 1.0], [-1.0, 0.0]],  # resonant
+            np.diag([1.0, -2.0]),  # not Hurwitz
+            [[-2.0, 2.0], [-3.0, -8.0]],
+            -np.eye(2),
+        ])
+        Q = np.array([np.eye(2)] * 4 + [[[1.0, 1.0], [0.0, 1.0]]])  # last Q asymmetric
+        X, errors = solve_lyapunov(A, Q)
+        for i in range(len(A)):
+            try:
+                alone = solve_lyapunov(A[i], Q[i])
+            except (InputError, SolverError) as exc:
+                assert type(errors[i]) is type(exc) and str(errors[i]) == str(exc)
+                assert np.isnan(X[i]).all()
+                continue
+            assert errors[i] is None and np.array_equal(X[i], alone)
+        assert [type(e) for e in errors[1:3]] == [ResonantSpectrumError, InputError]
+        assert isinstance(errors[4], InputError)
+
+    def test_is_hurwitz_stack(self):
+        A = np.array([-np.eye(2), [[0.0, 1.0], [-1.0, 0.0]], np.diag([1e-12, -1.0]), np.zeros((2, 2))])
+        got = is_hurwitz(A)
+        assert got.dtype == bool
+        assert list(got) == [is_hurwitz(X) for X in A] == [True, False, False, False]
+
+    def test_require_spd_stack(self):
+        M = np.array([np.eye(2), [[1.0, 2.0], [0.0, 1.0]], -np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]])
+        out, errors = matcore.require_spd(M, "Q")
+        assert errors[0] is None and np.array_equal(out[0], M[0])
+        for i in range(1, 4):
+            with pytest.raises(InputError) as excinfo:
+                matcore.require_spd(M[i], "Q")
+            assert type(errors[i]) is InputError and str(errors[i]) == str(excinfo.value)
 
 
 @st.composite
