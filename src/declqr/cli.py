@@ -267,7 +267,9 @@ def _cmd_reduce(args, out):
     return 0
 
 
+@functools.cache
 def _build_parser():
+    """The argparse tree, built once per process on the first cli_main call."""
     parser = argparse.ArgumentParser(
         prog="declqr",
         description="Decide and design completely decentralized LQR state feedback.",

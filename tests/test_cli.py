@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from declqr import CirculantSpec, identity_spec
-from declqr.cli import cli_main
+from declqr.cli import _build_parser, cli_main
 from declqr.sysfile import (
     circulant_document,
     dense_document,
@@ -344,3 +344,29 @@ class TestUsage:
     def test_missing_required_flag(self):
         status, _ = run_cli(["solve"])
         assert status == 1
+
+    def test_parser_is_built_once_and_reused(self, tmp_path, worked_file, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "kind": "qa",
+            "axis1": {"min": 0.5, "max": 2.0, "steps": 3},
+            "axis2": {"min": 0.5, "max": 2.0, "steps": 3},
+            "curve_samples": 3,
+        }))
+        csv_path = tmp_path / "grid.csv"
+        sweep = ["sweep", "--config", str(cfg_path), "--output", str(csv_path)]
+
+        def outputs():
+            status, text = run_cli(sweep)
+            assert status == 0
+            return text, csv_path.read_bytes(), (tmp_path / "grid.json").read_bytes()
+
+        _build_parser.cache_clear()
+        first = outputs()
+        assert run_cli(["sweep", "--default", "nope"])[0] == 1
+        assert run_cli(["--help"])[0] == 0
+        assert "usage: declqr" in capsys.readouterr().out
+        status, text = run_cli(["check", "oracle", "--system", worked_file])
+        assert status == 0 and "oracle decentralized:" in text
+        assert outputs() == first
+        assert (_build_parser.cache_info().misses, _build_parser.cache_info().hits) == (1, 4)

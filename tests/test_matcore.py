@@ -371,6 +371,25 @@ class TestSolveCareStack:
             solve_care_stack(A[0], B, Q, R)
 
 
+class TestLstsqReadOff:
+    """matcore._lstsq, the batched read-off of P, against per-item lstsq."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_lstsq_item_by_item(self, n):
+        rng = np.random.default_rng(40 + n)
+        M = rng.standard_normal((7, 2 * n, n))
+        b = rng.standard_normal((7, 2 * n, n))
+        M[5] = 0.0
+        if n > 1:
+            M[6, :, 1] = M[6, :, 0]  # rank deficient: minimum-norm answer
+        X = matcore._lstsq(M, b)
+        for i in range(len(M)):
+            want = np.linalg.lstsq(M[i], b[i], rcond=None)[0]
+            assert np.linalg.norm(X[i] - want) <= 1e-14 * np.linalg.norm(want)
+            assert np.array_equal(matcore._lstsq(M[i : i + 1], b[i : i + 1])[0], X[i])
+        assert not X[5].any()
+
+
 class TestStackedPublicFunctions:
     """solve_lyapunov, is_hurwitz and require_spd judge a stack item by item,
     as the one-matrix calls would."""
