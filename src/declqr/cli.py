@@ -173,13 +173,10 @@ def _cmd_sweep(args, out):
             raise InputError(f"config is not valid JSON: {exc}") from exc
         cfg = sweepmod.SweepConfig.from_dict(data)
     elif args.default is not None:
-        cfg = (
-            sweepmod.SweepConfig.default_qr()
-            if args.default == "qr"
-            else sweepmod.SweepConfig.default_qa()
-        )
+        cfg = sweepmod.DEFAULT_CONFIGS[args.default]()
     else:
-        raise InputError("sweep needs --config FILE or --default {qr,qa}")
+        kinds = ",".join(sweepmod.DEFAULT_CONFIGS)
+        raise InputError(f"sweep needs --config FILE or --default {{{kinds}}}")
     result = sweepmod.run_sweep(cfg)
     output = args.output or cfg.output or f"sweep_{cfg.kind}.csv"
     csv_path, json_path = sweepmod.write_outputs(result, output)
@@ -190,11 +187,11 @@ def _cmd_sweep(args, out):
         out.write(
             f"h2 range: [{format_float(summary['h2_min'])}, {format_float(summary['h2_max'])}]\n"
         )
-    if result.curve:
+    if "curve" in summary:
+        curve = summary["curve"]
         out.write(
-            f"curve: {len(result.curve)} samples, "
-            f"{len(result.curve_excluded)} excluded, "
-            f"all decentralized: {_bool(all(s.decentralized for s in result.curve))}\n"
+            f"curve: {curve['samples']} samples, {curve['excluded']} excluded, "
+            f"all decentralized: {_bool(curve['all_decentralized'])}\n"
         )
     return 0
 
@@ -294,7 +291,9 @@ def _build_parser():
 
     p = sub.add_parser("sweep", help="run a cost-landscape sweep and write CSV + JSON")
     p.add_argument("--config", help="path to a JSON sweep config")
-    p.add_argument("--default", choices=("qr", "qa"), help="run a built-in default sweep")
+    p.add_argument(
+        "--default", choices=sweepmod.DEFAULT_CONFIGS, help="run a built-in default sweep"
+    )
     p.add_argument("--output", help="override the CSV output path")
     p.set_defaults(func=_cmd_sweep)
 

@@ -20,7 +20,6 @@ the iterative Riccati solve.
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -107,14 +106,13 @@ def pattern_decentralized(K, neighborhoods):
 @dataclass
 class DecentralReport:
     """Verdict bundle: the numeric-oracle decision and off-pattern mass of the
-    judged gain K, analytic condition results as (name, holds, witness)
-    triples, and h2 = sqrt(trace P) of the solve that oracle_check judged."""
+    judged gain K, and analytic condition results as (name, holds, witness)
+    triples."""
 
     oracle_decentralized: bool
     offdiag_mass: float
     K: np.ndarray
     analytic_verdicts: list = field(default_factory=list)
-    h2: Optional[float] = None
 
 
 def oracle_check(prob, neighborhoods=None):
@@ -138,7 +136,6 @@ def oracle_check(prob, neighborhoods=None):
         oracle_decentralized=decentralized,
         offdiag_mass=mass,
         K=sol.K,
-        h2=sol.h2,
     )
 
 
@@ -368,8 +365,6 @@ def circulant_pair_conditions(a, b, q, r):
         v0, v1 = spec.first_row
         if v0 + v1 == 0.0:
             raise InputError(f"degenerate: {name}0 + {name}1 is zero")
-        if v0 - v1 == 0.0:
-            raise InputError(f"degenerate: {name}0 - {name}1 is zero")
         return (v0 - v1) / (v0 + v1)
 
     dynamics_ok = approx_equal(ratio("a", a), ratio("b", b), RATIO_TOL)

@@ -144,7 +144,6 @@ class ChamberSystem:
     b: CirculantSpec
     magnitude_condition: bool
     entry_condition: bool
-    params: ChamberParams
 
 
 def chamber_system(p):
@@ -167,7 +166,6 @@ def chamber_system(p):
         b=CirculantSpec(np.array([p.beta0, p.beta1])),
         magnitude_condition=magnitude,
         entry_condition=entry,
-        params=p,
     )
 
 

@@ -1,24 +1,26 @@
 """Parameter sweeps of the 2x2 cost-landscape system.
 
 Each sweep kind is one problem builder in PROBLEM_BUILDERS, mapping the
-axis values of the grid points (axis1, axis2) to stacked (A, B, Q, R); run_sweep
-solves the whole stack at once:
+axis values of the grid points (axis1, axis2) to stacked (A, B, Q, R), and one
+default config in DEFAULT_CONFIGS; run_sweep solves the whole stack at once:
 
 * "qr":  vary the state-weight ratio q0/q2 (axis1) and the input-weight ratio
          gamma0/gamma2 (axis2) for the fixed plant [[1, 1], [-1, 1]];
 * "qa":  vary q0 (axis1) and a2/a0 (axis2) for the plant [[1, 1], [-1, a2]],
          with gamma2 chosen as 1/q0 so the input-weight ratio condition holds
-         at every point; the decentralization locus q0 = 1/a2 is sampled as a
-         parametric curve alongside the grid.
+         at every point; the decentralization locus q0 = 1/a2 (gamma2 = a2) is
+         sampled alongside the grid as the points (1/a2, a2).
 
 The grid points (and the qa locus samples) go through one
 matcore.solve_care_stack call and one decentral.pattern_decentralized call on
-the stack of gains; each records h2 = sqrt(trace P), the oracle
-decentralization verdict and off-pattern mass, and a failed solve carries its
-status tag instead of a fabricated value. Output is a
-CSV (fixed column order, floats with 17 significant digits, records sorted by
-grid indices, so identical configs give byte-identical files) plus a JSON
-sidecar with the config and summary statistics.
+the stack of gains; each becomes a GridRecord of h2 = sqrt(trace P), the
+oracle decentralization verdict and off-pattern mass, and a failed solve
+carries its status tag instead of a fabricated value. The locus keeps its
+solved records as SweepResult.curve and each other a2, with its reason, in
+curve_excluded. Output is a CSV (fixed column order, floats with 17
+significant digits, records sorted by grid indices, so identical configs give
+byte-identical files) plus a JSON sidecar with the config, summary statistics
+and (qa) the locus samples.
 """
 
 from dataclasses import dataclass, field, replace
@@ -149,9 +151,9 @@ class SweepConfig:
         if not isinstance(data, dict):
             raise InputError("sweep config must be a JSON object")
         kind = data.get("kind")
-        if not isinstance(kind, str) or kind not in PROBLEM_BUILDERS:
+        if not isinstance(kind, str) or kind not in DEFAULT_CONFIGS:
             raise InputError("sweep config needs \"kind\": \"qr\" or \"qa\"")
-        base = cls.default_qr() if kind == "qr" else cls.default_qa()
+        base = DEFAULT_CONFIGS[kind]()
 
         def axis(key, default):
             spec = data.get(key)
@@ -188,6 +190,10 @@ class SweepConfig:
         return out
 
 
+# Sweep kind -> its default config.
+DEFAULT_CONFIGS = {"qr": SweepConfig.default_qr, "qa": SweepConfig.default_qa}
+
+
 @dataclass
 class GridRecord:
     axis1: float
@@ -196,16 +202,6 @@ class GridRecord:
     decentralized: Optional[bool]
     offdiag_mass: Optional[float]
     status: str
-
-
-@dataclass
-class CurveSample:
-    a2: float
-    q0: float
-    gamma2: float
-    h2: float
-    decentralized: bool
-    offdiag_mass: float
 
 
 @dataclass
@@ -248,9 +244,10 @@ def run_sweep(cfg):
     """Evaluate every grid point of cfg with its kind's problem builder.
 
     A "qa" sweep also samples the locus q0 = 1/a2 (so gamma2 = a2) at
-    curve_samples values of a2 spaced like axis2. Samples with a2 <= 0 break
-    the same-sign condition on the self terms and are excluded with a reason,
-    as are samples whose solve fails. Grid and locus are solved as one stack.
+    curve_samples values of a2 spaced like axis2, as the records of the
+    points (1/a2, a2). Samples with a2 <= 0 break the same-sign condition on
+    the self terms and are excluded with a reason, as are samples whose solve
+    fails, with its status. Grid and locus are solved as one stack.
     """
     x1, x2 = (g.ravel() for g in np.meshgrid(cfg.axis1.grid(), cfg.axis2.grid(), indexing="ij"))
     points = len(x1)
@@ -279,21 +276,10 @@ def run_sweep(cfg):
     for a2 in curve_a2:
         if a2 <= 0:
             result.curve_excluded.append((float(a2), "a2 <= 0 breaks the same-sign condition"))
-            continue
-        rec = next(on_locus)
-        if rec.status != "ok":
+        elif (rec := next(on_locus)).status == "ok":
+            result.curve.append(rec)
+        else:
             result.curve_excluded.append((float(a2), rec.status))
-            continue
-        result.curve.append(
-            CurveSample(
-                a2=float(a2),
-                q0=rec.axis1,
-                gamma2=float(a2),
-                h2=rec.h2,
-                decentralized=rec.decentralized,
-                offdiag_mass=rec.offdiag_mass,
-            )
-        )
     return result
 
 
@@ -321,9 +307,9 @@ def sidecar_dict(result):
     if result.config.kind == "qa":
         data["curve"] = [
             {
-                "a2": s.a2,
-                "q0": s.q0,
-                "gamma2": s.gamma2,
+                "a2": s.axis2,
+                "q0": s.axis1,
+                "gamma2": s.axis2,
                 "h2": s.h2,
                 "decentralized": s.decentralized,
                 "offdiag_mass": s.offdiag_mass,

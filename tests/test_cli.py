@@ -152,6 +152,40 @@ class TestCheck:
         assert "analytic holds: true" in text
         assert "oracle decentralized: true" in text
 
+    def test_cor3_equal_entry_row(self, tmp_path):
+        path = tmp_path / "equal.json"
+        save_system(
+            circulant_document(
+                CirculantSpec([1.0, 1.0]),
+                CirculantSpec([2.0, 1.0]),
+                identity_spec(2),
+                identity_spec(2),
+            ),
+            path,
+        )
+        status, text = run_cli(["check", "cor3", "--system", str(path)])
+        assert status == 0
+        assert "analytic holds: false" in text
+        assert "oracle decentralized: false" in text
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            circulant_document(
+                CirculantSpec([1.0, 2.0]), identity_spec(2), identity_spec(2), identity_spec(2)
+            ),
+            dense_document(-np.eye(3), np.eye(3), np.eye(3), np.eye(3)),
+            dense_document([[1.0, 2.0], [-3.0, 4.0]], 2.0 * np.eye(2), np.eye(2), np.eye(2)),
+        ],
+        ids=["circulant", "dense-3x3", "b-not-identity"],
+    )
+    def test_thm1_rejects_other_systems(self, tmp_path, capsys, doc):
+        path = tmp_path / "sys.json"
+        save_system(doc, path)
+        status, _ = run_cli(["check", "thm1", "--system", str(path)])
+        assert status == 1
+        assert "input error:" in capsys.readouterr().err
+
     def test_oracle_mode(self, worked_file):
         status, text = run_cli(["check", "oracle", "--system", worked_file])
         assert status == 0
@@ -308,6 +342,34 @@ class TestSweepCommand:
         status, _ = run_cli(["sweep", "--config", str(cfg_path)])
         assert status == 1
         assert "input error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            None,
+            "kind = qr",
+            '["qr"]',
+            '{"kind": "qr", "axis1": 5}',
+            '{"kind": "qr", "axis1": {"spacing": "cubic"}}',
+            '{"kind": "qa", "curve_samples": 1}',
+        ],
+        ids=["missing", "not-json", "not-an-object", "axis-not-an-object", "bad-spacing",
+             "one-curve-sample"],
+    )
+    def test_invalid_config_is_input_error(self, tmp_path, capsys, monkeypatch, text):
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        if text is not None:
+            cfg_path.write_text(text)
+        status, _ = run_cli(["sweep", "--config", str(cfg_path)])
+        assert status == 1
+        assert "input error:" in capsys.readouterr().err
+
+    def test_neither_flag_is_input_error(self, capsys):
+        status, _ = run_cli(["sweep"])
+        assert status == 1
+        err = capsys.readouterr().err
+        assert "input error: sweep needs --config FILE or --default {qr,qa}" in err
 
 
 class TestReduce:

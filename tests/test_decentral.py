@@ -408,6 +408,15 @@ class TestCirculantPairConditions:
                 CirculantSpec([1.0, 0.0]),
             )
 
+    def test_equal_entries_give_a_zero_ratio(self):
+        # A = [[1, 1], [1, 1]] has (a0 - a1)/(a0 + a1) = 0, which differs from
+        # B's 1/3: the balance fails, as the oracle confirms.
+        a = CirculantSpec([1.0, 1.0])
+        b = CirculantSpec([2.0, 1.0])
+        q = r = CirculantSpec([1.0, 0.0])
+        assert circulant_pair_conditions(a, b, q, r) == (False, None)
+        assert not oracle_check(circulant_lqr_problem(a, b, q, r)).oracle_decentralized
+
     def test_sign_indefinite_b_can_leave_no_shared_stabilizing_gain(self):
         # Both balance ratios hold, yet the stabilizing branches pick
         # different roots at the two frequencies because the eigenvalues of B

@@ -303,15 +303,36 @@ class TestSolveCare:
         with pytest.raises(UnstabilizableError, match="residual floor"):
             solve_care(A, 1e6 * B, Q, R)
 
-    def test_large_input_matrix_takes_kleinman_steps_to_tolerance(self):
-        # With B scaled by 1e6, the 183rd draw is still above tolerance after
-        # the usual two Kleinman steps; two further steps reach it.
+    def test_large_input_matrix_takes_kleinman_steps_to_tolerance(self, monkeypatch):
+        # With B scaled by 1e6, the 31st draw is still above tolerance after
+        # the usual two Kleinman steps (one Lyapunov solve each); a further
+        # step reaches it.
         rng = np.random.default_rng(31)
-        for _ in range(183):
+        for _ in range(31):
             A, B, Q, R = random_stabilizable_dense(rng)
+        calls = []
+        lyapunov = matcore.solve_lyapunov
+
+        def counting(*args):
+            calls.append(1)
+            return lyapunov(*args)
+
+        monkeypatch.setattr(matcore, "solve_lyapunov", counting)
         res = solve_care(A, 1e6 * B, Q, R)
+        assert len(calls) > 2
         assert res.residual <= 1e-8 * max(1.0, np.linalg.norm(Q))
         assert is_hurwitz(A - 1e6 * B @ res.K)
+
+    def test_residual_over_tolerance_is_nonconvergent(self, monkeypatch):
+        # With no floor and a tolerance below any attainable residual, a
+        # well-posed solve ends in the residual branch of the taxonomy.
+        monkeypatch.setattr(matcore, "RESIDUAL_FLOOR_FACTOR", 0)
+        monkeypatch.setattr(matcore, "CARE_RESIDUAL_TOL", 1e-300)
+        rng = np.random.default_rng(0)
+        A, B = rng.normal(size=(5, 5)), rng.normal(size=(5, 2))
+        with pytest.raises(NonconvergentError, match="exceeds tolerance") as excinfo:
+            solve_care(A, B, np.eye(5), np.eye(2))
+        assert np.isfinite(excinfo.value.residual)
 
 
 def _same_size_instances(rng, count, n, m):

@@ -134,12 +134,13 @@ class TestQaSweep:
         assert len(result.curve) == 3
         for s in result.curve:
             assert s.decentralized
-            assert s.q0 == pytest.approx(1.0 / s.a2, rel=1e-12)
-            assert s.gamma2 == pytest.approx(s.a2, rel=1e-12)
-        by_a2 = {round(s.a2, 6): s for s in result.curve}
-        assert by_a2[2.0].q0 == pytest.approx(0.5)
-        assert by_a2[2.0].gamma2 == pytest.approx(2.0)
-        assert by_a2[1.0].q0 == pytest.approx(1.0)
+            assert s.axis1 == pytest.approx(1.0 / s.axis2, rel=1e-12)
+        by_a2 = {round(s.axis2, 6): s for s in result.curve}
+        assert by_a2[2.0].axis1 == pytest.approx(0.5)
+        assert by_a2[1.0].axis1 == pytest.approx(1.0)
+        for sample in sidecar_dict(result)["curve"]:
+            assert sample["gamma2"] == sample["a2"]
+            assert sample["q0"] == pytest.approx(1.0 / sample["a2"], rel=1e-12)
 
     def test_nonpositive_curve_points_excluded(self):
         cfg = SweepConfig(
@@ -153,6 +154,22 @@ class TestQaSweep:
         for a2, reason in result.curve_excluded:
             assert a2 <= 0
             assert "same-sign" in reason
+
+    def test_failed_curve_solves_excluded_with_status(self):
+        # At a2 = 1e9 the locus weights are q0 = 1e-9 and R = diag(1, 1e-9):
+        # the solve fails instead of yielding a sample.
+        cfg = SweepConfig(
+            kind="qa",
+            axis1=SweepAxis("q0", 1e-9, 1e9, 2),
+            axis2=SweepAxis("a2_over_a0", 1e-9, 1e9, 2),
+            curve_samples=10,
+        )
+        result = run_sweep(cfg)
+        assert result.curve_excluded == [(1e9, "UnstabilizableError")]
+        assert len(result.curve) == 9
+        data = sidecar_dict(result)
+        assert data["curve_excluded"] == [{"a2": 1e9, "reason": "UnstabilizableError"}]
+        assert data["summary"]["curve"]["excluded"] == 1
 
     def test_cost_varies_along_curve(self):
         cfg = SweepConfig(
