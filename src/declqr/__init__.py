@@ -47,7 +47,6 @@ from .models import (
     chamber_system,
     diffusion_decentralizing_cost,
     diffusion_operator,
-    forward_difference_operator,
     perf_example_system,
     predator_prey_jacobian,
 )

@@ -7,6 +7,7 @@ reduction). Exit status: 0 success, 1 input error, 2 solver failure.
 """
 
 import argparse
+import dataclasses
 import functools
 import sys
 
@@ -16,8 +17,8 @@ from . import decentral, models, sweep as sweepmod, sysfile
 from .errors import InputError, SolverError
 from .lqr import closed_loop, solve_lqr
 from .secondorder import check_second_order_decentral, reduce_and_solve
-from .serialize import format_float
-from .spectral import identity_spec
+from .serialize import dumps_json, format_float
+from .spectral import circulant_eigenvalues, identity_spec
 
 
 def _bool(value):
@@ -46,24 +47,27 @@ def _print_report(report, out):
     _print_matrix("K", report.K, out)
 
 
+def _model_params(cls, values):
+    """Parameter dataclass cls built from the entries of values that its
+    fields name; a missing entry raises KeyError."""
+    return cls(**{f.name: values[f.name] for f in dataclasses.fields(cls)})
+
+
 def _chamber_adjudication(system, report, uniform_gain, out):
     """For chamber-tagged circulant files, print both candidate balance
     conditions, the uniform-gain prediction, the oracle verdict of report,
-    and their consistency. uniform_gain() returns the file's uniform gain."""
+    and their consistency. uniform_gain() returns the file's uniform gain; a
+    frequency-singular B predicts none without a search."""
     meta = system.model or {}
     if meta.get("name") != "chamber":
         return
     try:
-        params = models.ChamberParams(
-            alpha0=meta["alpha0"],
-            alpha1=meta["alpha1"],
-            beta0=meta["beta0"],
-            beta1=meta["beta1"],
-        )
+        params = _model_params(models.ChamberParams, meta)
     except KeyError as exc:
         raise InputError(f"chamber model tag is missing coefficient {exc}") from exc
     chamber = models.chamber_system(params)
-    prediction = uniform_gain() is not None
+    singular_b = decentral.frequency_singular(circulant_eigenvalues(system.payload[1]))
+    prediction = not singular_b and uniform_gain() is not None
     consistent = report.oracle_decentralized == prediction
     out.write("chamber adjudication:\n")
     out.write(
@@ -91,23 +95,6 @@ def _cmd_solve(args, out):
     return 0
 
 
-def _diag_cost_from_dense(system):
-    A, B, Q, R = system.payload
-    if A.shape != (2, 2):
-        raise InputError("this check needs a 2x2 dense system")
-    scale = max(1.0, float(np.linalg.norm(B)))
-    if np.max(np.abs(B - np.eye(2))) > 1e-12 * scale:
-        raise InputError("this check needs B = I (rescale the input first)")
-    for name, M in (("Q", Q), ("R", R)):
-        if np.max(np.abs(M - np.diag(np.diag(M)))) > 1e-12 * max(1.0, np.linalg.norm(M)):
-            raise InputError(f"this check needs a diagonal {name}")
-    return decentral.DiagonalCost2x2(
-        a0=A[0, 0], a1=A[0, 1], a_minus1=A[1, 0], a2=A[1, 1],
-        q0=Q[0, 0], q2=Q[1, 1],
-        gamma0=1.0 / R[0, 0], gamma2=1.0 / R[1, 1],
-    )
-
-
 def _cmd_check(args, out):
     system = sysfile.load_system(args.system)
     mode = args.mode
@@ -117,10 +104,23 @@ def _cmd_check(args, out):
     def uniform_gain():
         return decentral.find_uniform_gain(*system.circulant_specs())
 
+    c = None
     if mode == "thm1":
         if system.kind != "dense":
             raise InputError("check thm1 needs a dense system file")
-        sys2 = _diag_cost_from_dense(system)
+        A, B, Q, R = system.payload
+        if A.shape != (2, 2):
+            raise InputError("this check needs a 2x2 dense system")
+        for M, target, need in ((B, np.eye(2), "B = I (rescale the input first)"),
+                                (Q, np.diag(np.diag(Q)), "a diagonal Q"),
+                                (R, np.diag(np.diag(R)), "a diagonal R")):
+            if np.max(np.abs(M - target)) > 1e-12 * max(1.0, np.linalg.norm(M)):
+                raise InputError(f"this check needs {need}")
+        sys2 = decentral.DiagonalCost2x2(
+            a0=A[0, 0], a1=A[0, 1], a_minus1=A[1, 0], a2=A[1, 1],
+            q0=Q[0, 0], q2=Q[1, 1],
+            gamma0=1.0 / R[0, 0], gamma2=1.0 / R[1, 1],
+        )
         holds, details = decentral.diagonal_cost_conditions(sys2)
         for key in ("opposite_offdiag_signs", "same_diag_signs",
                     "state_weight_ratio", "input_weight_ratio"):
@@ -134,27 +134,17 @@ def _cmd_check(args, out):
             f" (target {format_float(details['input_ratio_target'])})\n"
         )
         out.write(f"analytic holds: {_bool(holds)}\n")
-        report = decentral.oracle_check(sys2.lqr_problem())
-        _print_report(report, out)
     elif mode == "thm2":
         c = uniform_gain()
         out.write(f"uniform gain found: {_bool(c is not None)}\n")
-        if c is not None:
-            out.write(f"scalar gain c: {format_float(c)}\n")
-        report = decentral.oracle_check(system.lqr_problem())
-        _print_report(report, out)
     elif mode == "cor3":
-        a, b, q, r = system.circulant_specs()
-        holds, c = decentral.circulant_pair_conditions(a, b, q, r)
+        holds, c = decentral.circulant_pair_conditions(*system.circulant_specs())
         out.write(f"analytic holds: {_bool(holds)}\n")
-        if c is not None:
-            out.write(f"scalar gain c: {format_float(c)}\n")
-        report = decentral.oracle_check(system.lqr_problem())
-        _print_report(report, out)
-    else:
-        report = decentral.oracle_check(system.lqr_problem())
-        _print_report(report, out)
+    if c is not None:
+        out.write(f"scalar gain c: {format_float(c)}\n")
 
+    report = decentral.oracle_check(system.lqr_problem())
+    _print_report(report, out)
     if system.kind == "circulant":
         _chamber_adjudication(system, report, uniform_gain, out)
     return 0
@@ -162,16 +152,7 @@ def _cmd_check(args, out):
 
 def _cmd_sweep(args, out):
     if args.config is not None:
-        import json
-
-        try:
-            with open(args.config) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise InputError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise InputError(f"config is not valid JSON: {exc}") from exc
-        cfg = sweepmod.SweepConfig.from_dict(data)
+        cfg = sweepmod.SweepConfig.from_dict(sysfile.read_json(args.config, "config"))
     elif args.default is not None:
         cfg = sweepmod.DEFAULT_CONFIGS[args.default]()
     else:
@@ -208,9 +189,7 @@ def _cmd_model(args, out):
             model={"name": "diffusion", "n": int(args.n), "delta": float(args.delta)},
         )
     elif args.name == "predprey":
-        params = models.PredatorPreyParams(
-            r1=args.r1, r2=args.r2, k1=args.k1, k2=args.k2, b=args.b, e=args.e
-        )
+        params = _model_params(models.PredatorPreyParams, vars(args))
         A = models.predator_prey_jacobian(params)
         if args.decentralizing_cost:
             sys2 = decentral.synthesize_diagonal_cost(
@@ -221,19 +200,14 @@ def _cmd_model(args, out):
         else:
             Q, R = np.eye(2), np.eye(2)
         doc = sysfile.dense_document(
-            A, np.eye(2), Q, R,
-            model={"name": "predprey", "r1": params.r1, "r2": params.r2,
-                   "k1": params.k1, "k2": params.k2, "b": params.b, "e": params.e},
+            A, np.eye(2), Q, R, model={"name": "predprey", **dataclasses.asdict(params)}
         )
     elif args.name == "chamber":
-        params = models.ChamberParams(
-            alpha0=args.alpha0, alpha1=args.alpha1, beta0=args.beta0, beta1=args.beta1
-        )
+        params = _model_params(models.ChamberParams, vars(args))
         chamber = models.chamber_system(params)
         doc = sysfile.circulant_document(
             chamber.a, chamber.b, identity_spec(2), identity_spec(2),
-            model={"name": "chamber", "alpha0": params.alpha0, "alpha1": params.alpha1,
-                   "beta0": params.beta0, "beta1": params.beta1},
+            model={"name": "chamber", **dataclasses.asdict(params)},
         )
     else:  # perf
         prob = models.perf_example_system(q0=args.q0, gamma2=args.gamma2)
@@ -245,8 +219,6 @@ def _cmd_model(args, out):
         sysfile.save_system(doc, args.out)
         out.write(f"wrote {args.out}\n")
     else:
-        from .serialize import dumps_json
-
         out.write(dumps_json(doc) + "\n")
     return 0
 
@@ -312,8 +284,8 @@ def _build_parser():
     m.set_defaults(func=_cmd_model)
 
     m = msub.add_parser("predprey", help="linearized two-species predator-prey model")
-    for flag in ("r1", "r2", "k1", "k2", "b", "e"):
-        m.add_argument(f"--{flag}", type=float, required=True)
+    for f in dataclasses.fields(models.PredatorPreyParams):
+        m.add_argument(f"--{f.name}", type=float, required=True)
     m.add_argument(
         "--decentralizing-cost",
         action="store_true",
@@ -325,8 +297,8 @@ def _build_parser():
     m.set_defaults(func=_cmd_model)
 
     m = msub.add_parser("chamber", help="two heated chambers across a shared wall")
-    for flag in ("alpha0", "alpha1", "beta0", "beta1"):
-        m.add_argument(f"--{flag}", type=float, required=True)
+    for f in dataclasses.fields(models.ChamberParams):
+        m.add_argument(f"--{f.name}", type=float, required=True)
     m.add_argument("--out")
     m.set_defaults(func=_cmd_model)
 

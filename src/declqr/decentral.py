@@ -11,7 +11,8 @@ state that means a diagonal K. This module provides
   induce),
 * a per-frequency uniform-gain search for circulant quadruples of any size,
   exact for non-symmetric A and B, specialized to a pair of balance ratios
-  for the 2x2 circulant case.
+  for the 2x2 circulant case (balance_ratio, which the two-chamber model
+  reuses; frequency_singular is the search's vanishing-eigenvalue test).
 
 Tolerance split: analytic ratio identities are checked at 1e-10 (exact
 arithmetic facts), while oracle diagonality is judged at 1e-6, downstream of
@@ -118,10 +119,11 @@ class DecentralReport:
 def oracle_check(prob, neighborhoods=None):
     """Solve prob and judge the gain against the neighborhood pattern.
 
-    The CLI checks judge their one problem here; run_sweep solves its whole
-    stack with solve_care_stack and judges it with one pattern_decentralized
-    call, under the same rule. neighborhoods defaults to single-station sets,
-    which requires one input per state. Solver errors propagate.
+    Every CLI check mode judges the system file's own problem here;
+    run_sweep solves its whole stack with solve_care_stack and judges it with
+    one pattern_decentralized call, under the same rule. neighborhoods
+    defaults to single-station sets, which requires one input per state.
+    Solver errors propagate.
     """
     if neighborhoods is None:
         if prob.m != prob.n:
@@ -275,6 +277,14 @@ def diagonal_riccati_roots(sys):
 # Circulant quadruples: uniform scalar gain
 # ---------------------------------------------------------------------------
 
+def frequency_singular(vals):
+    """True when an eigenvalue sequence has an entry within 1e-12 of zero,
+    relative to its largest magnitude (at least 1). The uniform-gain search
+    rejects a frequency-singular b or r. A singular B makes the optimal gain
+    K = R^-1 B' P singular, so K = c I would need B = 0."""
+    return np.min(np.abs(vals)) <= 1e-12 * max(1.0, float(np.max(np.abs(vals))))
+
+
 def _frequency_data(a, b, q, r):
     n = a.n
     for name, spec in (("b", b), ("q", q), ("r", r)):
@@ -285,8 +295,7 @@ def _frequency_data(a, b, q, r):
     qh = circulant_eigenvalues(q)
     rh = circulant_eigenvalues(r)
     for name, vals in (("b", bh), ("r", rh)):
-        floor = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
-        if np.min(np.abs(vals)) <= floor:
+        if frequency_singular(vals):
             raise InputError(
                 f"frequency-singular: an eigenvalue of '{name}' vanishes"
             )
@@ -341,6 +350,15 @@ def circulant_lqr_problem(a, b, q, r):
     )
 
 
+def balance_ratio(v0, v1, name):
+    """Relative difference in influence (v0 - v1)/(v0 + v1) of the 2x2
+    circulant [[v0, v1], [v1, v0]]; InputError when v0 + v1 is zero. name
+    labels the entries in that error ("a" for a0, a1)."""
+    if v0 + v1 == 0.0:
+        raise InputError(f"degenerate: {name}0 + {name}1 is zero")
+    return (v0 - v1) / (v0 + v1)
+
+
 def circulant_pair_conditions(a, b, q, r):
     """Balance test for 2x2 circulant quadruples.
 
@@ -360,15 +378,12 @@ def circulant_pair_conditions(a, b, q, r):
     for name, spec in (("a", a), ("b", b), ("q", q), ("r", r)):
         if spec.n != 2:
             raise InputError(f"spec '{name}' must have size 2, got {spec.n}")
-
-    def ratio(name, spec):
-        v0, v1 = spec.first_row
-        if v0 + v1 == 0.0:
-            raise InputError(f"degenerate: {name}0 + {name}1 is zero")
-        return (v0 - v1) / (v0 + v1)
-
-    dynamics_ok = approx_equal(ratio("a", a), ratio("b", b), RATIO_TOL)
-    cost_ok = approx_equal(ratio("q", q), ratio("r", r), RATIO_TOL)
+    ra, rb, rq, rr = (
+        balance_ratio(*spec.first_row, name)
+        for spec, name in ((a, "a"), (b, "b"), (q, "q"), (r, "r"))
+    )
+    dynamics_ok = approx_equal(ra, rb, RATIO_TOL)
+    cost_ok = approx_equal(rq, rr, RATIO_TOL)
     holds = dynamics_ok and cost_ok
     c = find_uniform_gain(a, b, q, r) if holds else None
     return holds, c

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .decentral import RATIO_TOL, approx_equal
+from .decentral import RATIO_TOL, approx_equal, balance_ratio
 from .errors import InputError
 from .lqr import LqrProblem
 from .matcore import as_count, as_positive_real
@@ -83,18 +83,6 @@ def diffusion_operator(n, delta=1.0):
     return CirculantSpec(row / delta ** 2)
 
 
-def forward_difference_operator(n, delta=1.0):
-    """Forward-difference circulant with first row (1/delta) * [-1, 1, 0, ..., 0]."""
-    n = as_count(n, "n")
-    if n < 2:
-        raise InputError("forward difference needs n >= 2 sites")
-    delta = as_positive_real(delta, "delta")
-    row = np.zeros(n)
-    row[0] = -1.0
-    row[1] = 1.0
-    return CirculantSpec(row / delta)
-
-
 def diffusion_decentralizing_cost(n, delta=1.0):
     """Cost pair (Q, R) that makes the diffusion gain exactly the identity.
 
@@ -134,10 +122,10 @@ class ChamberSystem:
 
     magnitude_condition compares loss/gain magnitudes directly:
         (alpha0 - alpha1)/(alpha0 + alpha1) == (beta0 - beta1)/(beta0 + beta1).
-    entry_condition applies the general circulant balance test to the signed
-    state-matrix entries (a0, a1) = (-alpha0, alpha1) against (b0, b1) =
-    (beta0, beta1). The two disagree in general; neither is privileged here,
-    and the numeric oracle adjudicates.
+    entry_condition is cor3's dynamics balance (circulant_pair_conditions)
+    on the signed state-matrix entries (a0, a1) = (-alpha0, alpha1) against
+    (b0, b1) = (beta0, beta1). The two disagree in general; neither is
+    privileged here, and the numeric oracle adjudicates.
     """
 
     a: CirculantSpec
@@ -149,23 +137,14 @@ class ChamberSystem:
 def chamber_system(p):
     """Build the two-chamber circulant system and evaluate both conditions."""
     a0, a1 = -p.alpha0, p.alpha1
-    if a0 + a1 == 0.0:
-        raise InputError("degenerate: alpha1 - alpha0 is zero (state ratio denominator)")
-    magnitude = approx_equal(
-        (p.alpha0 - p.alpha1) / (p.alpha0 + p.alpha1),
-        (p.beta0 - p.beta1) / (p.beta0 + p.beta1),
-        RATIO_TOL,
-    )
-    entry = approx_equal(
-        (a0 - a1) / (a0 + a1),
-        (p.beta0 - p.beta1) / (p.beta0 + p.beta1),
-        RATIO_TOL,
-    )
+    beta = balance_ratio(p.beta0, p.beta1, "beta")
     return ChamberSystem(
         a=CirculantSpec(np.array([a0, a1])),
         b=CirculantSpec(np.array([p.beta0, p.beta1])),
-        magnitude_condition=magnitude,
-        entry_condition=entry,
+        magnitude_condition=approx_equal(
+            balance_ratio(p.alpha0, p.alpha1, "alpha"), beta, RATIO_TOL
+        ),
+        entry_condition=approx_equal(balance_ratio(a0, a1, "a"), beta, RATIO_TOL),
     )
 
 

@@ -4,15 +4,19 @@ A system file is a JSON object with a "kind" tag:
 
 * "dense":        keys "A", "B", "Q", "R" hold row-major nested arrays;
 * "circulant":    keys "A_first_row", "B_first_row", "Q_first_row",
-                  "R_first_row" hold the first rows, optionally plus a
-                  "model" object carrying constructor metadata (for example
-                  the chamber coefficients);
+                  "R_first_row" hold the first rows;
 * "second_order": keys "A1", "A2", "B0", "Q0", "Q2", "R0" hold the blocks.
+
+Any kind may also carry a "model" object with the constructor metadata of
+the file: the model's "name" plus its parameters (for example the chamber
+coefficients, which `check` reads back to adjudicate). The three document
+builders share one constructor, which writes "model" only when given.
 
 All floats are written with 17 significant digits.
 """
 
 import json
+from dataclasses import asdict, fields
 
 from .decentral import circulant_lqr_problem
 from .errors import InputError
@@ -22,46 +26,29 @@ from .secondorder import SecondOrderSystem
 from .serialize import dumps_json
 from .spectral import CirculantSpec
 
+_LQR_KEYS = ("A", "B", "Q", "R")
 
-def dense_document(A, B, Q, R, model=None):
-    doc = {
-        "kind": "dense",
-        "A": as_real_array(A, "A"),
-        "B": as_real_array(B, "B"),
-        "Q": as_real_array(Q, "Q"),
-        "R": as_real_array(R, "R"),
-    }
+
+def _document(kind, model, **arrays):
+    """A system document: the kind tag, the arrays, and "model" when given."""
+    doc = {"kind": kind, **arrays}
     if model is not None:
         doc["model"] = model
     return doc
+
+
+def dense_document(A, B, Q, R, model=None):
+    arrays = {key: as_real_array(M, key) for key, M in zip(_LQR_KEYS, (A, B, Q, R))}
+    return _document("dense", model, **arrays)
 
 
 def circulant_document(a, b, q, r, model=None):
-    doc = {
-        "kind": "circulant",
-        "A_first_row": a.first_row,
-        "B_first_row": b.first_row,
-        "Q_first_row": q.first_row,
-        "R_first_row": r.first_row,
-    }
-    if model is not None:
-        doc["model"] = model
-    return doc
+    rows = {f"{key}_first_row": spec.first_row for key, spec in zip(_LQR_KEYS, (a, b, q, r))}
+    return _document("circulant", model, **rows)
 
 
 def second_order_document(sys, model=None):
-    doc = {
-        "kind": "second_order",
-        "A1": sys.A1,
-        "A2": sys.A2,
-        "B0": sys.B0,
-        "Q0": sys.Q0,
-        "Q2": sys.Q2,
-        "R0": sys.R0,
-    }
-    if model is not None:
-        doc["model"] = model
-    return doc
+    return _document("second_order", model, **asdict(sys))
 
 
 def save_system(doc, path):
@@ -107,14 +94,20 @@ class SystemFile:
         return self.payload
 
 
-def load_system(path):
+def read_json(path, what):
+    """Parse the JSON file at path; InputError, naming the file as what, when
+    it cannot be read or parsed."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read system file: {exc}") from exc
+        raise InputError(f"cannot read {what}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"system file is not valid JSON: {exc}") from exc
+        raise InputError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def load_system(path):
+    data = read_json(path, "system file")
     if not isinstance(data, dict):
         raise InputError("system file must be a JSON object")
     kind = data.get("kind")
@@ -123,14 +116,13 @@ def load_system(path):
         raise InputError("'model' must be an object when present")
 
     if kind == "dense":
-        payload = tuple(_array(data, key) for key in ("A", "B", "Q", "R"))
+        payload = tuple(_array(data, key) for key in _LQR_KEYS)
     elif kind == "circulant":
-        payload = tuple(
-            CirculantSpec(_array(data, f"{key}_first_row")) for key in ("A", "B", "Q", "R")
-        )
+        payload = tuple(CirculantSpec(_array(data, f"{key}_first_row")) for key in _LQR_KEYS)
     elif kind == "second_order":
-        blocks = {key: _array(data, key) for key in ("A1", "A2", "B0", "Q0", "Q2", "R0")}
-        payload = SecondOrderSystem(**blocks)
+        payload = SecondOrderSystem(
+            **{f.name: _array(data, f.name) for f in fields(SecondOrderSystem)}
+        )
     else:
         raise InputError(
             "system file 'kind' must be one of: dense, circulant, second_order"

@@ -119,3 +119,11 @@ def is_circulant(M, tol=1e-12):
         if np.max(np.abs(M[i] - np.roll(M[i - 1], 1))) > tol:
             return False
     return True
+
+
+def forward_difference_operator(n, delta=1.0):
+    """Forward-difference circulant with first row (1/delta) * [-1, 1, 0, ..., 0]."""
+    row = np.zeros(n)
+    row[0] = -1.0
+    row[1] = 1.0
+    return CirculantSpec(row / delta)

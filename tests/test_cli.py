@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from declqr import CirculantSpec, identity_spec
+from declqr import CirculantSpec, SecondOrderSystem, decentral, identity_spec
 from declqr.cli import _build_parser, cli_main
 from declqr.sysfile import (
     circulant_document,
@@ -60,6 +60,8 @@ CHAMBER_FILE = (
     '{"kind": "circulant", "A_first_row": [-3, 1], ' + CIRCULANT_ROWS + ', '
     '"model": {"name": "chamber", "alpha0": %s, "alpha1": 0.5, "beta0": 3, "beta1": 1}}'
 )
+
+CHAMBER_TAG = {"alpha0": 3, "alpha1": 1, "beta0": 3, "beta1": 1}
 
 
 class TestSystemFileErrors:
@@ -191,6 +193,26 @@ class TestCheck:
         assert status == 0
         assert "oracle decentralized: true" in text
 
+    def test_thm1_judges_the_files_own_problem(self, tmp_path, monkeypatch):
+        # Neither 0.11 nor 0.19 survives r -> 1/(1/r).
+        R = np.diag([0.11, 0.19])
+        path = tmp_path / "awkward.json"
+        save_system(
+            dense_document([[1.0, 2.0], [-3.0, 4.0]], np.eye(2), np.diag([3.0, 8.0]), R), path
+        )
+        judged = []
+        oracle_check = decentral.oracle_check
+        monkeypatch.setattr(
+            decentral, "oracle_check", lambda prob: judged.append(prob) or oracle_check(prob)
+        )
+        status, thm1 = run_cli(["check", "thm1", "--system", str(path)])
+        assert status == 0
+        status, oracle = run_cli(["check", "oracle", "--system", str(path)])
+        assert status == 0
+        marker = "oracle decentralized:"
+        assert thm1[thm1.index(marker):] == oracle[oracle.index(marker):]
+        assert [np.array_equal(prob.R, R) for prob in judged] == [True, True]
+
     def test_thm2_on_non_symmetric_ring(self, tmp_path):
         path = tmp_path / "ring.json"
         save_system(circulant_document(*nonsymmetric_uniform_gain_instance()), path)
@@ -232,6 +254,40 @@ class TestChamberAdjudication:
         assert "chamber adjudication:" in text
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("mode", ["oracle", "cor3"])
+    def test_frequency_singular_b_predicts_no_uniform_gain(self, tmp_path, mode):
+        path = tmp_path / "chamber.json"
+        run_cli(["model", "chamber", "--alpha0", "3", "--alpha1", "1",
+                 "--beta0", "3", "--beta1", "3", "--out", str(path)])
+        status, text = run_cli(["check", mode, "--system", str(path)])
+        assert status == 0
+        assert "uniform-gain prediction (decentralized): false" in text
+        assert "  oracle decentralized: false" in text
+        assert "consistency (oracle matches prediction): true" in text
+
+    @pytest.mark.parametrize(
+        "mode, rows, tag, message",
+        [
+            ("thm2", '"B_first_row": [3, 3], "Q_first_row": [1, 0], "R_first_row": [1, 0]',
+             CHAMBER_TAG, "frequency-singular: an eigenvalue of 'b' vanishes"),
+            ("oracle",
+             '"B_first_row": [3, 1], "Q_first_row": [1, 0], "R_first_row": [1, 0.9999999999999]',
+             CHAMBER_TAG, "frequency-singular: an eigenvalue of 'r' vanishes"),
+            ("oracle", CIRCULANT_ROWS, {"alpha0": 3, "alpha1": 1, "beta0": 3},
+             "chamber model tag is missing coefficient 'beta1'"),
+        ],
+        ids=["thm2-singular-b", "near-singular-r", "tag-missing-beta1"],
+    )
+    def test_input_errors_still_propagate(self, tmp_path, capsys, mode, rows, tag, message):
+        path = tmp_path / "chamber.json"
+        path.write_text(
+            '{"kind": "circulant", "A_first_row": [-3, 1], ' + rows
+            + ', "model": ' + json.dumps({"name": "chamber", **tag}) + "}"
+        )
+        status, _ = run_cli(["check", mode, "--system", str(path)])
+        assert status == 1
+        assert message in capsys.readouterr().err
+
 
 class TestModel:
     def test_diffusion_decentralizing_cost_file(self, tmp_path):
@@ -269,7 +325,7 @@ class TestModel:
         doc = json.loads(text)
         assert doc["kind"] == "dense"
 
-    def test_bad_parameters_are_input_errors(self):
+    def test_bad_parameters_are_input_errors(self, capsys):
         status, _ = run_cli(["model", "diffusion", "--n", "2", "--out", "x.json"])
         assert status == 1
         status, _ = run_cli(
@@ -277,6 +333,38 @@ class TestModel:
              "--beta0", "1", "--beta1", "1"]
         )
         assert status == 1
+        assert "input error: degenerate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, tag",
+        [
+            (["predprey", "--r1", "2", "--r2", "1", "--k1", "1", "--k2", "1", "--b", "1",
+              "--e", "0.5"],
+             {"name": "predprey", "r1": 2.0, "r2": 1.0, "k1": 1.0, "k2": 1.0, "b": 1.0, "e": 0.5}),
+            (["chamber", "--alpha0", "3", "--alpha1", "1", "--beta0", "3", "--beta1", "0.5"],
+             {"name": "chamber", "alpha0": 3.0, "alpha1": 1.0, "beta0": 3.0, "beta1": 0.5}),
+        ],
+        ids=["predprey", "chamber"],
+    )
+    def test_model_tag_holds_name_and_parameters(self, args, tag):
+        status, text = run_cli(["model"] + args)
+        assert status == 0
+        assert json.loads(text)["model"] == tag
+
+
+class TestDocuments:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda model: dense_document(np.eye(2), np.eye(2), np.eye(2), np.eye(2), model=model),
+            lambda model: circulant_document(*[identity_spec(2)] * 4, model=model),
+            lambda model: second_order_document(SecondOrderSystem(*[np.eye(2)] * 6), model=model),
+        ],
+        ids=["dense", "circulant", "second-order"],
+    )
+    def test_model_written_only_when_given(self, build):
+        assert "model" not in build(None)
+        assert build({"name": "tagged"})["model"] == {"name": "tagged"}
 
 
 class TestSweepCommand:
