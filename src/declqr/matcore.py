@@ -17,7 +17,10 @@ solve_care_stack is the stacked Riccati entry and returns per-item results
 and errors; solve_care is its N = 1 case. Given a stack, solve_lyapunov and
 require_spd return (result, errors) and is_hurwitz a bool array; given one
 matrix, they return its result or raise. solve_care_stack validates through
-require_spd and polishes and certifies through solve_lyapunov and is_hurwitz.
+require_spd, polishes through solve_lyapunov and certifies the final closed
+loop by a Lyapunov inequality, calling is_hurwitz only where that fails. A
+healthy solve runs the kernel twice: on the Hamiltonian and on one Lyapunov
+stack.
 """
 
 import math
@@ -510,6 +513,46 @@ def _care_defect(A, B, Q, R, P):
     return K, quad, _t(A) @ P + P @ A - quad + Q
 
 
+def _closed_loop_hurwitz(A, B, Q, P, K, quad, defect):
+    """Per item, whether A_cl = A - BK is Hurwitz as is_hurwitz judges it:
+    A_cl + tI Hurwitz, t = ||A_cl||_1 / RESONANCE_COND_LIMIT. P is SPD and
+    (K, quad, defect) = _care_defect(A, B, Q, R, P).
+
+    The certificate is Lyapunov's inequality: with P > 0, M = -[(A_cl + tI)'P
+    + P(A_cl + tI)] > 0 proves A_cl + tI Hurwitz (v*Mv = -2 Re(lambda) v*Pv
+    for an eigenpair). For the computed K, M = sym(Q + quad - defect) - 2tP
+    exactly, so M costs no product. An item passes iff the Cholesky
+    factorization of M - delta I succeeds, where delta bounds every rounding
+    between the computed and the exact M (u = eps / 2, gamma_k = ku / (1 - ku)):
+    - the products A'P, PA, PB (inner size n: gamma_n |X||Y|) and PB K
+      (inner size m), the sums forming defect and M, and the step from A - BK
+      to the computed A_cl that is_hurwitz would be given; at most
+      (n + 2m + 8) u S with S = 2(||A|| + ||B|| ||K|| + t) ||P|| + ||Q||
+      + ||quad|| + ||defect||, Frobenius norms;
+    - the Cholesky factorization itself: its success proves X + E >= 0 with
+      ||E||_2 <= gamma_{n+1} trace(X) (Rump 2006, "Verification of positive
+      definiteness"), so (n + 1) u trace(M) covers it.
+    delta states both with eps in place of u, twice these bounds; the slack
+    covers second-order terms and the rounding of M - delta I. Items left
+    uncertified go to is_hurwitz, so no verdict is looser than is_hurwitz's
+    own. The factorization runs item by item.
+    """
+    n, m = B.shape[1:]
+    A_cl = A - B @ K
+    t = _norm1(A_cl) / RESONANCE_COND_LIMIT
+    M = Q + quad - defect
+    M = (M + _t(M)) / 2.0 - 2.0 * t[:, None, None] * P
+    size = 2.0 * (_fro(A) + _fro(B) * _fro(K) + t) * _fro(P) + _fro(Q) + _fro(quad) + _fro(defect)
+    # A trace <= 0 fails the factorization anyway; clipping keeps delta >= 0.
+    trace = np.maximum(np.trace(M, axis1=-2, axis2=-1), 0.0)
+    delta = np.finfo(float).eps * ((n + 2 * m + 8) * size + (n + 1) * trace)
+    hurwitz = is_positive_definite(M - delta[:, None, None] * np.eye(n))
+    doubt = np.flatnonzero(~hurwitz)
+    if doubt.size:
+        hurwitz[doubt] = is_hurwitz(A_cl[doubt])
+    return hurwitz
+
+
 def _lstsq(M, b):
     """Minimum-norm least-squares solution of M X = b for each item of a
     stack, by one batched SVD: X = V diag(w) U' b with w = 1/s for singular
@@ -537,8 +580,11 @@ def solve_care_stack(A, B, Q, R):
     With G = B R^{-1} B', the sign W of the balanced Hamiltonian [[A, -rho G],
     [-Q / rho, -A']] negates its stable subspace [I; P / rho], read off (W + I)
     by least squares. Newton (Kleinman) steps P += dP polish P, where
-    (A - BK)' dP + dP (A - BK) + D(P) = 0 for the defect D(P): two for every
-    item, and more for an item still above tolerance while its residual falls.
+    (A - BK)' dP + dP (A - BK) + D(P) = 0 for the defect D(P): one for every
+    item, whose Lyapunov solve certifies the read-off closed loop, and more
+    for an item still above tolerance while its residual falls. The final
+    closed loop is certified by Lyapunov's inequality with P
+    (_closed_loop_hurwitz), which falls back to is_hurwitz.
 
     An item's error is InputError for bad data; UnstabilizableError when the
     Hamiltonian or a closed loop has an imaginary-axis eigenvalue, the
@@ -583,12 +629,11 @@ def solve_care_stack(A, B, Q, R):
     P = rho * _lstsq(W[:, :, n:], -W[:, :, :n])
     P = (P + _t(P)) / 2.0
     K, quad, defect = _care_defect(A, B, Q, R, P)
-    for _ in range(2):
-        dP, lyap_errors = solve_lyapunov(A - B @ K, (defect + _t(defect)) / 2.0)
-        keep = book(lyap_errors, as_care_error)
-        live, A, B, Q, R, P, dP = _compact(keep, live, A, B, Q, R, P, dP)
-        P = P + dP
-        K, quad, defect = _care_defect(A, B, Q, R, P)
+    dP, lyap_errors = solve_lyapunov(A - B @ K, (defect + _t(defect)) / 2.0)
+    keep = book(lyap_errors, as_care_error)
+    live, A, B, Q, R, P, dP = _compact(keep, live, A, B, Q, R, P, dP)
+    P = P + dP
+    K, quad, defect = _care_defect(A, B, Q, R, P)
 
     residual = _fro(defect)
     tol = CARE_RESIDUAL_TOL * np.maximum(1.0, _fro(Q))
@@ -629,11 +674,17 @@ def solve_care_stack(A, B, Q, R):
                     f"{iterations[live[j]]} sign steps",
                     residual=float(residual[j]),
                 )
-        live, A, B, P, K, residual = _compact(~over, live, A, B, P, K, residual)
+        live, A, B, Q, P, K, quad, defect, residual = _compact(
+            ~over, live, A, B, Q, P, K, quad, defect, residual
+        )
 
     keep = certify(is_positive_definite(P), "Riccati solution failed the positive-definiteness check")
-    live, A, B, P, K, residual = _compact(keep, live, A, B, P, K, residual)
-    keep = certify(is_hurwitz(A - B @ K), "closed loop failed the Hurwitz certificate")
+    live, A, B, Q, P, K, quad, defect, residual = _compact(
+        keep, live, A, B, Q, P, K, quad, defect, residual
+    )
+    keep = certify(
+        _closed_loop_hurwitz(A, B, Q, P, K, quad, defect), "closed loop failed the Hurwitz certificate"
+    )
     live, P, K, residual = _compact(keep, live, P, K, residual)
     if len(live) < N:
         P, K, residual = (_scatter(X, live, N) for X in (P, K, residual))

@@ -51,7 +51,9 @@ def test_riccati_solve_books_its_lyapunov_hurwitz_and_weight_checks(monkeypatch)
     finally:
         tracer.remove()
     names = [span[0] for span in tracer.spans]
-    assert names.count("matcore.solve_lyapunov") >= 2
-    assert names.count("matcore.is_hurwitz") == 1
+    # A healthy solve takes one Kleinman step and certifies its closed loop
+    # by a Lyapunov inequality, with no is_hurwitz call.
+    assert names.count("matcore.solve_lyapunov") == 1
+    assert names.count("matcore.is_hurwitz") == 0
     assert names.count("matcore.require_spd") == 2
     assert tracer.lyapunov_operator_bytes > 0

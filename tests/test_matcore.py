@@ -17,6 +17,7 @@ from declqr import (
     solve_care_stack,
     solve_lyapunov,
 )
+from declqr.sweep import PROBLEM_BUILDERS
 from helpers import random_spd, random_stabilizable_dense, solved_random_instance
 
 SQRT2 = np.sqrt(2.0)
@@ -165,6 +166,19 @@ class TestBassGain:
             assert is_hurwitz(A - B @ K0)
 
 
+def _counting(monkeypatch, name):
+    """Replace matcore.<name> by a wrapper that counts its calls."""
+    calls = []
+    original = getattr(matcore, name)
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(matcore, name, counting)
+    return calls
+
+
 class TestSolveCare:
     def test_scalar_golden_ratio_like_root(self):
         res = solve_care([[1.0]], [[1.0]], [[1.0]], [[1.0]])
@@ -305,19 +319,12 @@ class TestSolveCare:
 
     def test_large_input_matrix_takes_kleinman_steps_to_tolerance(self, monkeypatch):
         # With B scaled by 1e6, the 31st draw is still above tolerance after
-        # the usual two Kleinman steps (one Lyapunov solve each); a further
-        # step reaches it.
+        # the unconditional Kleinman step (one Lyapunov solve); the further
+        # steps it takes while its residual falls reach it.
         rng = np.random.default_rng(31)
         for _ in range(31):
             A, B, Q, R = random_stabilizable_dense(rng)
-        calls = []
-        lyapunov = matcore.solve_lyapunov
-
-        def counting(*args):
-            calls.append(1)
-            return lyapunov(*args)
-
-        monkeypatch.setattr(matcore, "solve_lyapunov", counting)
+        calls = _counting(monkeypatch, "solve_lyapunov")
         res = solve_care(A, 1e6 * B, Q, R)
         assert len(calls) > 2
         assert res.residual <= 1e-8 * max(1.0, np.linalg.norm(Q))
@@ -333,6 +340,50 @@ class TestSolveCare:
         with pytest.raises(NonconvergentError, match="exceeds tolerance") as excinfo:
             solve_care(A, B, np.eye(5), np.eye(2))
         assert np.isfinite(excinfo.value.residual)
+
+
+class TestSignCallsPerSolve:
+    # A healthy solve runs the sign kernel twice: on the Hamiltonian, and in
+    # the one Kleinman step's Lyapunov stack. The closed loop is certified by
+    # a Lyapunov inequality, without is_hurwitz.
+    def test_healthy_solve(self, monkeypatch):
+        signs, hurwitz = _counting(monkeypatch, "_sign"), _counting(monkeypatch, "is_hurwitz")
+        res = solve_care([[1.0, 1.0], [-1.0, 1.0]], np.eye(2), np.eye(2), np.eye(2))
+        assert np.allclose(res.K, (1.0 + SQRT2) * np.eye(2), atol=1e-12)
+        assert (len(signs), len(hurwitz)) == (2, 0)
+
+    def test_sweep_stack(self, monkeypatch):
+        q_ratio, g_ratio = (
+            g.ravel() for g in np.meshgrid(np.geomspace(0.2, 5.0, 9), np.geomspace(0.2, 5.0, 7))
+        )
+        stacks = PROBLEM_BUILDERS["qr"](q_ratio, g_ratio)
+        signs, hurwitz = _counting(monkeypatch, "_sign"), _counting(monkeypatch, "is_hurwitz")
+        sol = solve_care_stack(*stacks)
+        assert len(sol.errors) == 63 and not any(sol.errors)
+        assert (len(signs), len(hurwitz)) == (2, 0)
+
+
+class TestClosedLoopCertificate:
+    @staticmethod
+    def certify(monkeypatch, A_cl):
+        """(verdict, is_hurwitz calls) of the certificate on the closed loop
+        A_cl, for B = Q = R = P = I, so that K = I and A = A_cl + I."""
+        n = len(A_cl)
+        A, B, Q, R, P = np.asarray(A_cl)[None] + np.eye(n), *[np.eye(n)[None]] * 4
+        K, quad, defect = matcore._care_defect(A, B, Q, R, P)
+        hurwitz = _counting(monkeypatch, "is_hurwitz")
+        return bool(matcore._closed_loop_hurwitz(A, B, Q, P, K, quad, defect)[0]), len(hurwitz)
+
+    def test_imaginary_axis_pair_goes_to_is_hurwitz(self, monkeypatch):
+        assert self.certify(monkeypatch, [[0.0, 1.0], [-1.0, 0.0]]) == (False, 1)
+
+    def test_mode_inside_the_shift_goes_to_is_hurwitz(self, monkeypatch):
+        # Real part -s with s half the shift t = ||A_cl||_1 / RESONANCE_COND_LIMIT.
+        s = 0.5 / matcore.RESONANCE_COND_LIMIT
+        assert self.certify(monkeypatch, [[-s, 1.0], [-1.0, -s]]) == (False, 1)
+
+    def test_closed_loop_with_margin_is_certified_alone(self, monkeypatch):
+        assert self.certify(monkeypatch, [[-1.0, 1.0], [-1.0, -1.0]]) == (True, 0)
 
 
 def _same_size_instances(rng, count, n, m):
