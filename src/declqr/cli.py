@@ -17,7 +17,7 @@ from . import decentral, models, sweep as sweepmod, sysfile
 from .errors import InputError, SolverError
 from .lqr import closed_loop, solve_lqr
 from .secondorder import check_second_order_decentral, reduce_and_solve
-from .serialize import dumps_json, format_float
+from .serialize import _format_rows, dumps_json, format_float
 from .spectral import circulant_eigenvalues, identity_spec
 
 
@@ -26,10 +26,8 @@ def _bool(value):
 
 
 def _print_matrix(name, M, out):
-    M = np.atleast_2d(M)
-    out.write(f"{name}:\n")
-    for row in M:
-        out.write("  " + " ".join(format_float(v) for v in row) + "\n")
+    rows = _format_rows(np.atleast_2d(M), " ")
+    out.write(f"{name}:\n" + "".join(f"  {row}\n" for row in rows))
 
 
 def _print_report(report, out):

@@ -17,10 +17,11 @@ solve_care_stack is the stacked Riccati entry and returns per-item results
 and errors; solve_care is its N = 1 case. Given a stack, solve_lyapunov and
 require_spd return (result, errors) and is_hurwitz a bool array; given one
 matrix, they return its result or raise. solve_care_stack validates through
-require_spd, polishes through solve_lyapunov and certifies the final closed
-loop by a Lyapunov inequality, calling is_hurwitz only where that fails. A
-healthy solve runs the kernel twice: on the Hamiltonian and on one Lyapunov
-stack.
+require_spd and hands the checked data to _solve_care_validated, which a
+caller holding already validated blocks enters directly. That solver polishes
+through solve_lyapunov and certifies the final closed loop by a Lyapunov
+inequality, calling is_hurwitz only where that fails. A healthy solve runs the
+kernel twice: on the Hamiltonian and on one Lyapunov stack.
 """
 
 import math
@@ -259,10 +260,20 @@ def validate_lqr_data(A, B, Q, R):
     return tuple(X[0] for X in data)
 
 
+def _newton_mean(X, Y, c3):
+    """(cX + Y / c) / 2 with c3 the per-item scales c as (N, 1, 1); c3 = None
+    stands for c = 1, where the product and quotient are exact and skipped."""
+    if c3 is None:
+        return (X + Y) / 2.0
+    return (c3 * X + Y / c3) / 2.0
+
+
 def _sign(Z, F=None):
     """(S, F, steps, errors): the sign of each item of the stack Z (N, k, k) by
     the Newton iteration Z <- (cZ + (cZ)^{-1}) / 2, c = |det Z|^{-1/k} while
-    the item's last relative step exceeds 1e-2, else 1.
+    the item's last relative step exceeds 1e-2, else 1. In a step where no
+    running item is scaled, the products and quotients by c = 1 are skipped:
+    they are exact, so the iterates are bitwise the same.
 
     F, if given, is a stack of M <= N matrices carried by the first M items:
     such an iterate is [[Z, F], [0, -Z']], whose inverse holds Z^{-1} F Z^{-T}
@@ -299,9 +310,9 @@ def _sign(Z, F=None):
                 c = np.exp(np.linalg.slogdet(Z)[1] * (-1.0 / k))
                 if n_scaled < len(live):
                     c[~scaled] = 1.0
+                c3 = c[:, None, None]
             else:
-                c = np.ones(len(live))
-            c3 = c[:, None, None]
+                c = c3 = None  # c = 1 for every item
             regular = None
             try:
                 Zi = np.linalg.inv(Z)
@@ -310,10 +321,10 @@ def _sign(Z, F=None):
                 # is 0) fails; the identity stands in for it this step.
                 regular = np.linalg.slogdet(Z)[0] != 0
                 Zi = np.linalg.inv(np.where(regular[:, None, None], Z, np.eye(k)))
-            Z_next = (c3 * Z + Zi / c3) / 2.0
+            Z_next = _newton_mean(Z, Zi, c3)
             size_next = _norm1(Z_next)
             bound = RESONANCE_COND_LIMIT * size_next
-            fine = (c * size <= bound) & (bound < np.inf)
+            fine = ((size if c is None else c * size) <= bound) & (bound < np.inf)
             if regular is not None:
                 fine &= regular
             if it > stall:
@@ -325,7 +336,7 @@ def _sign(Z, F=None):
             done = step <= SIGN_STEP_TOL
             if F is not None:
                 m = len(F)
-                F_next = (c3[:m] * F + Zi[:m] @ F @ _t(Zi[:m]) / c3[:m]) / 2.0
+                F_next = _newton_mean(F, Zi[:m] @ F @ _t(Zi[:m]), None if c3 is None else c3[:m])
                 if np.count_nonzero(done[:m]):
                     dF = _norm1(F_next - F)
                     # F overflows only beside an eigenvalue within rounding of
@@ -594,7 +605,16 @@ def solve_care_stack(A, B, Q, R):
     P fails the definiteness or A - BK the Hurwitz certificate. Stacks whose
     shapes do not fit raise InputError.
     """
-    A, B, Q, R, errors = _validate_stack(A, B, Q, R)
+    return _solve_care_validated(*_validate_stack(A, B, Q, R))
+
+
+def _solve_care_validated(A, B, Q, R, errors):
+    """solve_care_stack on data that already passed its checks: float stacks
+    of fitting shapes, A and B finite and Q and R SPD as _validate_stack
+    judges them, and errors[i] None or item i's error, which stops it before
+    the first step (the list is filled in place). A caller that assembled its
+    data from validated blocks (secondorder.reduce_and_solve) enters here, so
+    the blocks are not validated a second time."""
     N, n, m = B.shape
     iterations = np.zeros(N, dtype=int)
     live = np.arange(N)

@@ -10,6 +10,14 @@ recorded as agreement_residual rather than assumed zero, because the corner
 block of the full solution is not symmetric in general and the stage solves
 are symmetric by construction. On circulant-symmetric data the two routes
 coincide to solver precision.
+
+Each input is validated once. SecondOrderSystem checks the blocks when it is
+built, and reduce_and_solve hands the three problems it assembles from them
+straight to the Riccati solver (matcore._solve_care_validated), without
+validating them again: stage P1 takes the blocks as they are, stage P2's
+Qbar is symmetric by construction and checked for positive definiteness
+here, and the augmented problem's Q = blockdiag(Q0, Q2) is SPD because its
+blocks are.
 """
 
 from dataclasses import dataclass
@@ -18,8 +26,8 @@ import numpy as np
 
 from .decentral import DecentralReport, pattern_decentralized, position_velocity_neighborhoods
 from .errors import InputError, SolverError
-from .lqr import LqrProblem, solve_lqr
-from .matcore import as_matrix, is_positive_definite, require_spd, solve_care
+from .lqr import LqrProblem
+from .matcore import _solve_care_validated, as_matrix, is_positive_definite, require_spd
 
 
 @dataclass
@@ -69,15 +77,26 @@ class SecondOrderSolution:
     corner_asymmetry: float
 
 
-def augment(sys):
-    """Assemble the 2n-state problem: A = [[0, I], [A1, A2]], B = [0; B0],
-    Q = blockdiag(Q0, Q2), R = R0."""
+def _augmented(sys):
+    """(A, B, Q, R) of the 2n-state problem: A = [[0, I], [A1, A2]],
+    B = [0; B0], Q = blockdiag(Q0, Q2), R = R0."""
     n = sys.n
     zero = np.zeros((n, n))
     A = np.block([[zero, np.eye(n)], [sys.A1, sys.A2]])
     B = np.vstack([zero, sys.B0])
     Q = np.block([[sys.Q0, zero], [zero, sys.Q2]])
-    return LqrProblem(A=A, B=B, Q=Q, R=sys.R0)
+    return A, B, Q, sys.R0
+
+
+def augment(sys):
+    """The 2n-state problem as an LqrProblem: A = [[0, I], [A1, A2]],
+    B = [0; B0], Q = blockdiag(Q0, Q2), R = R0."""
+    return LqrProblem(*_augmented(sys))
+
+
+def _solve(A, B, Q, R):
+    """solve_care on blocks this module has validated, as a stack of one."""
+    return _solve_care_validated(A[None], B[None], Q[None], R[None], [None]).item(0)
 
 
 def _staged(stage, fn):
@@ -92,18 +111,20 @@ def _staged(stage, fn):
 def reduce_and_solve(sys):
     """Run the two-stage reduction and the full augmented solve.
 
-    Raises the underlying solver error labeled with the failing stage
-    ("stage-P1", "stage-P2" or "stage-full").
+    The three Riccati solves take the blocks that SecondOrderSystem validated
+    and do not validate them again (see the module docstring). Raises the
+    underlying solver error labeled with the failing stage ("stage-P1",
+    "stage-P2" or "stage-full").
     """
     n = sys.n
-    care1 = _staged("stage-P1", lambda: solve_care(sys.A1, sys.B0, sys.Q0, sys.R0))
+    care1 = _staged("stage-P1", lambda: _solve(sys.A1, sys.B0, sys.Q0, sys.R0))
     P1 = care1.P
     Qbar = sys.Q2 + P1 + P1.T
     if not is_positive_definite(Qbar):
         raise SolverError("stage-P2: Qbar = Q2 + P1 + P1' is not positive definite")
-    care2 = _staged("stage-P2", lambda: solve_care(sys.A2, sys.B0, Qbar, sys.R0))
+    care2 = _staged("stage-P2", lambda: _solve(sys.A2, sys.B0, Qbar, sys.R0))
 
-    full = _staged("stage-full", lambda: solve_lqr(augment(sys)))
+    full = _staged("stage-full", lambda: _solve(*_augmented(sys)))
     agreement = max(
         float(np.linalg.norm(full.K[:, :n] - care1.K)),
         float(np.linalg.norm(full.K[:, n:] - care2.K)),

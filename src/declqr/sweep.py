@@ -31,7 +31,7 @@ import numpy as np
 from .decentral import pattern_decentralized, single_station_neighborhoods
 from .errors import InputError
 from .matcore import as_count, as_real, solve_care_stack
-from .serialize import dumps_json, format_float
+from .serialize import _format_rows, dumps_json
 
 CSV_COLUMNS = ("axis1", "axis2", "h2", "decentralized", "offdiag_mass", "status")
 
@@ -284,21 +284,20 @@ def run_sweep(cfg):
 
 
 def csv_text(result):
-    """Deterministic CSV body: header then one row per grid point."""
+    """Deterministic CSV body: header then one row per grid point. The 0/1
+    decentralized cell is formatted with its row's floats, where 1.0 and 0.0
+    print as 1 and 0."""
+    records = result.records
+    solved = [(r.axis1, r.axis2, r.h2, r.decentralized, r.offdiag_mass)
+              for r in records if r.status == "ok"]
+    failed = [(r.axis1, r.axis2) for r in records if r.status != "ok"]
+    solved = iter(_format_rows(solved, ","))
+    failed = iter(_format_rows(failed, ","))
     lines = [",".join(CSV_COLUMNS)]
-    for rec in result.records:
-        if rec.status == "ok":
-            cells = (
-                format_float(rec.axis1),
-                format_float(rec.axis2),
-                format_float(rec.h2),
-                "1" if rec.decentralized else "0",
-                format_float(rec.offdiag_mass),
-                "ok",
-            )
-        else:
-            cells = (format_float(rec.axis1), format_float(rec.axis2), "", "", "", rec.status)
-        lines.append(",".join(cells))
+    lines += [
+        f"{next(solved)},ok" if r.status == "ok" else f"{next(failed)},,,,{r.status}"
+        for r in records
+    ]
     return "\n".join(lines) + "\n"
 
 

@@ -342,6 +342,14 @@ class TestSolveCare:
         assert np.isfinite(excinfo.value.residual)
 
 
+def test_unscaled_newton_step_is_bitwise_the_step_at_c_one():
+    # _sign skips the products and quotients by c in a step where no running
+    # item is scaled; with c = 1 they are exact.
+    X, Y = np.random.default_rng(3).normal(size=(2, 4, 3, 3))
+    unscaled = matcore._newton_mean(X, Y, None)
+    assert np.array_equal(unscaled, matcore._newton_mean(X, Y, np.ones((4, 1, 1))))
+
+
 class TestSignCallsPerSolve:
     # A healthy solve runs the sign kernel twice: on the Hamiltonian, and in
     # the one Kleinman step's Lyapunov stack. The closed loop is certified by

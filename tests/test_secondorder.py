@@ -14,9 +14,11 @@ from declqr import (
     identity_spec,
     oracle_check,
     reduce_and_solve,
+    solve_care,
 )
+from declqr import matcore
 from declqr.decentral import DiagonalCost2x2
-from declqr.lqr import LqrProblem
+from declqr.lqr import LqrProblem, solve_lqr
 from declqr.models import diffusion_operator
 from helpers import (
     eigenvalues_to_row,
@@ -276,3 +278,51 @@ class TestGeneralInstances:
                     Q0=np.eye(2), Q2=np.eye(2), R0=np.eye(2),
                 )
             )
+
+
+class TestValidatesOnce:
+    """SecondOrderSystem validates the blocks; the three Riccati solves of
+    reduce_and_solve take them without a second validation."""
+
+    @staticmethod
+    def general_system(seed=5, n=3):
+        rng = np.random.default_rng(seed)
+        M0, M2, M3 = (rng.uniform(-1, 1, (n, n)) for _ in range(3))
+        return SecondOrderSystem(
+            A1=rng.uniform(-1, 1, (n, n)), A2=rng.uniform(-1, 1, (n, n)),
+            B0=np.eye(n) + 0.2 * rng.uniform(-1, 1, (n, n)),
+            Q0=M0.T @ M0 + np.eye(n), Q2=M2.T @ M2 + np.eye(n), R0=M3.T @ M3 + np.eye(n),
+        )
+
+    def test_no_stack_validation(self, monkeypatch):
+        # solve_care_stack and LqrProblem both reach _validate_stack through
+        # matcore's module attribute.
+        calls = []
+        original = matcore._validate_stack
+
+        def counting(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(matcore, "_validate_stack", counting)
+        reduce_and_solve(self.general_system())
+        assert calls == []
+
+    def test_same_answers_as_the_validating_solves(self):
+        sys2 = self.general_system()
+        sol = reduce_and_solve(sys2)
+        care1 = solve_care(sys2.A1, sys2.B0, sys2.Q0, sys2.R0)
+        care2 = solve_care(sys2.A2, sys2.B0, sol.Qbar, sys2.R0)
+        full = solve_lqr(augment(sys2))
+        for got, want in ((sol.P1, care1.P), (sol.gain_pos, care1.K), (sol.P2, care2.P),
+                          (sol.gain_vel, care2.K), (sol.full_P, full.P), (sol.full_gain, full.K)):
+            assert np.array_equal(got, want)
+
+    def test_weights_are_not_judged_again_as_a_block_diagonal(self):
+        # Each weight passes the 1e-10 relative symmetry test on its own, with
+        # ||W - W'||_F = 8.5e-11 at ||W||_F < 1; blockdiag(W, W) would not
+        # (1.2e-10), so a second validation of the augmented Q refused it.
+        W = np.array([[0.1, 3e-11], [-3e-11, 0.1]])
+        eye = np.eye(2)
+        sol = reduce_and_solve(SecondOrderSystem(A1=-eye, A2=-eye, B0=eye, Q0=W, Q2=W, R0=eye))
+        assert sol.agreement_residual <= 1e-12
