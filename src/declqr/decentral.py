@@ -286,14 +286,7 @@ def frequency_singular(vals):
 
 
 def _frequency_data(a, b, q, r):
-    n = a.n
-    for name, spec in (("b", b), ("q", q), ("r", r)):
-        if spec.n != n:
-            raise InputError(f"spec '{name}' has size {spec.n}, expected {n}")
-    ah = circulant_eigenvalues(a)
-    bh = circulant_eigenvalues(b)
-    qh = circulant_eigenvalues(q)
-    rh = circulant_eigenvalues(r)
+    ah, bh, qh, rh = circulant_eigenvalues(a, b, q, r)
     for name, vals in (("b", bh), ("r", rh)):
         if frequency_singular(vals):
             raise InputError(

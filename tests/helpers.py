@@ -99,12 +99,12 @@ def uniform_gain_instance(rng, n):
     return a, b, q, r, c
 
 
-def nonsymmetric_uniform_gain_instance():
-    """Five-site ring with non-symmetric A (first row 0.3, 1, 0, 0, -0.2),
-    B = R = I and q(k) = 16 - 8 Re a(k): the optimal gain is 4 I although
-    a(k) is complex. Returns (a, b, q, r)."""
-    n = 5
-    row = np.array([0.3, 1.0, 0.0, 0.0, -0.2])
+def nonsymmetric_uniform_gain_instance(n=5):
+    """Ring of n >= 3 sites with non-symmetric A (first row 0.3, 1, 0, ...,
+    0, -0.2), B = R = I and q(k) = 16 - 8 Re a(k): the optimal gain is 4 I
+    although a(k) is complex. Returns (a, b, q, r)."""
+    row = np.zeros(n)
+    row[0], row[1], row[-1] = 0.3, 1.0, -0.2
     ah = np.fft.ifft(row) * n
     q = CirculantSpec(eigenvalues_to_row(16.0 - 8.0 * ah.real))
     eye = CirculantSpec(np.eye(n)[0])

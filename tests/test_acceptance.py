@@ -305,3 +305,15 @@ def test_criterion_12_ten_thousand_point_sweep():
         f"{solved}/{len(result.records)} points solved, point nearest (1, 1) "
         f"decentralized={center.decentralized}, {elapsed:.2f} s",
     )
+
+
+def test_criterion_13_large_ring_uniform_gain():
+    n = 4096
+    d2 = diffusion_operator(n)
+    q, r, _ = diffusion_decentralizing_cost(n)
+    t0 = time.perf_counter()
+    c = find_uniform_gain(d2, identity_spec(n), q, r)
+    elapsed = time.perf_counter() - t0
+    err = abs(c - 1.0) if c is not None else np.inf
+    ok = err <= 1e-9 and elapsed < 0.5
+    assert report(13, ok, f"n = {n} diffusion ring, |c - 1| {err:.1e}, {elapsed:.2f} s")

@@ -23,6 +23,7 @@ from declqr import (
     synthesize_diagonal_cost,
     uniform_gain_candidates,
 )
+from declqr import decentral
 from declqr.models import diffusion_decentralizing_cost, diffusion_operator
 from helpers import (
     eigenvalues_to_row,
@@ -308,6 +309,19 @@ class TestFindUniformGain:
         report = oracle_check(circulant_lqr_problem(a, b, q, r))
         assert report.oracle_decentralized
         assert np.allclose(report.K, 4.0 * np.eye(5), atol=1e-9)
+
+    def test_one_stacked_transform_per_query(self, monkeypatch):
+        calls = []
+        original = decentral.circulant_eigenvalues
+
+        def counting(*specs):
+            calls.append(len(specs))
+            return original(*specs)
+
+        monkeypatch.setattr(decentral, "circulant_eigenvalues", counting)
+        a, b, q, r = nonsymmetric_uniform_gain_instance(1024)
+        assert find_uniform_gain(a, b, q, r) == pytest.approx(4.0, abs=1e-9)
+        assert calls == [4]
 
     def test_non_symmetric_b_without_uniform_gain(self):
         a, _, q, r = nonsymmetric_uniform_gain_instance()

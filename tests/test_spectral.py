@@ -96,6 +96,40 @@ class TestCirculantEigenvalues:
             assert np.allclose(prod_vals, expected, atol=1e-10 * max(1.0, np.max(np.abs(expected))))
 
 
+class TestStackedEigenvalues:
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 1024, 1031])
+    def test_rows_are_bitwise_one_spec_calls(self, n):
+        rng = np.random.default_rng(n)
+        specs = [CirculantSpec(rng.uniform(-3, 3, n)) for _ in range(4)]
+        stacked = circulant_eigenvalues(*specs)
+        assert stacked.shape == (4, n)
+        for row, spec in zip(stacked, specs):
+            assert np.array_equal(row, circulant_eigenvalues(spec))
+
+    def test_conjugate_symmetry_is_exact_in_a_stack(self):
+        rng = np.random.default_rng(15)
+        for n in (2, 3, 8, 11, 64):
+            stacked = circulant_eigenvalues(*(CirculantSpec(rng.uniform(-3, 3, n)) for _ in range(3)))
+            for k in range(1, n):
+                assert np.array_equal(stacked[:, n - k], np.conj(stacked[:, k]))
+
+    def test_matches_fft_at_large_n(self):
+        # Exponents reduced mod n keep the error near rounding level; summing
+        # exp(2 pi i j k / n) with j k unreduced drifts to about 5e-11 here.
+        n = 4096
+        row = np.random.default_rng(16).uniform(-1, 1, n)
+        vals = circulant_eigenvalues(CirculantSpec(row))
+        assert np.max(np.abs(vals - np.fft.ifft(row) * n)) <= 1e-12
+
+    def test_no_specs_rejected(self):
+        with pytest.raises(InputError, match="at least one"):
+            circulant_eigenvalues()
+
+    def test_mixed_sizes_rejected(self):
+        with pytest.raises(InputError, match="share one size"):
+            circulant_eigenvalues(identity_spec(3), identity_spec(4))
+
+
 class TestIsCirculant:
     def test_symmetric_two_by_two(self):
         assert is_circulant([[1.0, 2.0], [2.0, 1.0]])
