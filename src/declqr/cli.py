@@ -106,22 +106,9 @@ def _cmd_check(args, out):
     if mode == "thm1":
         if system.kind != "dense":
             raise InputError("check thm1 needs a dense system file")
-        A, B, Q, R = system.payload
-        if A.shape != (2, 2):
-            raise InputError("this check needs a 2x2 dense system")
-        for M, target, need in ((B, np.eye(2), "B = I (rescale the input first)"),
-                                (Q, np.diag(np.diag(Q)), "a diagonal Q"),
-                                (R, np.diag(np.diag(R)), "a diagonal R")):
-            if np.max(np.abs(M - target)) > 1e-12 * max(1.0, np.linalg.norm(M)):
-                raise InputError(f"this check needs {need}")
-        sys2 = decentral.DiagonalCost2x2(
-            a0=A[0, 0], a1=A[0, 1], a_minus1=A[1, 0], a2=A[1, 1],
-            q0=Q[0, 0], q2=Q[1, 1],
-            gamma0=1.0 / R[0, 0], gamma2=1.0 / R[1, 1],
-        )
+        sys2 = decentral.DiagonalCost2x2.from_problem(*system.payload)
         holds, details = decentral.diagonal_cost_conditions(sys2)
-        for key in ("opposite_offdiag_signs", "same_diag_signs",
-                    "state_weight_ratio", "input_weight_ratio"):
+        for key in decentral.DIAGONAL_COST_CONDITIONS:
             out.write(f"condition {key}: {_bool(details[key])}\n")
         out.write(
             f"state ratio: {format_float(details['state_ratio'])}"
@@ -188,17 +175,15 @@ def _cmd_model(args, out):
         )
     elif args.name == "predprey":
         params = _model_params(models.PredatorPreyParams, vars(args))
-        A = models.predator_prey_jacobian(params)
+        entries = models.predator_prey_jacobian(params).ravel()
         if args.decentralizing_cost:
-            sys2 = decentral.synthesize_diagonal_cost(
-                A[0, 0], A[0, 1], A[1, 0], A[1, 1], q2=args.q2, gamma2=args.gamma2
-            )
-            prob = sys2.lqr_problem()
-            Q, R = prob.Q, prob.R
+            sys2 = decentral.synthesize_diagonal_cost(*entries, q2=args.q2, gamma2=args.gamma2)
         else:
-            Q, R = np.eye(2), np.eye(2)
+            sys2 = decentral.DiagonalCost2x2(*entries, 1.0, 1.0, 1.0, 1.0)
+        prob = sys2.lqr_problem()
         doc = sysfile.dense_document(
-            A, np.eye(2), Q, R, model={"name": "predprey", **dataclasses.asdict(params)}
+            prob.A, prob.B, prob.Q, prob.R,
+            model={"name": "predprey", **dataclasses.asdict(params)},
         )
     elif args.name == "chamber":
         params = _model_params(models.ChamberParams, vars(args))

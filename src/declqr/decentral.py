@@ -6,9 +6,10 @@ state that means a diagonal K. This module provides
 
 * a numeric oracle: solve the Riccati equation and test the gain's sparsity
   pattern,
-* analytic conditions for 2x2 dynamics with diagonal B, Q, R (sign pattern of
-  the coupling plus two weight-ratio identities, and the cost synthesis they
-  induce),
+* the one map of 2x2 plants with B = I and diagonal Q, R to matrices and
+  back (diagonal_cost_stack, DiagonalCost2x2.from_problem), the four
+  conditions on them (sign pattern of the coupling plus two weight-ratio
+  identities) and the cost synthesis these induce,
 * a per-frequency uniform-gain search for circulant quadruples of any size,
   exact for non-symmetric A and B, specialized to a pair of balance ratios
   for the 2x2 circulant case (balance_ratio, which the two-chamber model
@@ -16,17 +17,19 @@ state that means a diagonal K. This module provides
 
 Tolerance split: analytic ratio identities are checked at 1e-10 (exact
 arithmetic facts), while oracle diagonality is judged at 1e-6, downstream of
-the iterative Riccati solve.
+the iterative Riccati solve. The scale of every relative test is a norm under
+matcore.overflow_safe, so entries above about 1.3e154 cannot pass against an
+infinite scale.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .errors import InputError
 from .lqr import LqrProblem, solve_lqr
-from .matcore import as_positive_real, as_real, as_real_array
+from .matcore import as_positive_real, as_real, as_real_array, overflow_safe
 from .spectral import CirculantSpec, circulant_eigenvalues, circulant_materialize
 
 # Relative tolerance for analytic ratio identities.
@@ -70,11 +73,16 @@ def normalize_neighborhoods(neighborhoods, n_inputs, n_states):
     return nbhd
 
 
+@overflow_safe(axis=-1)
 def _row_norms(X):
     """Euclidean norm of each row of X by a dot product, as np.linalg.norm
     takes it for one vector, so a stacked mass is bitwise the one-gain mass."""
     X = np.ascontiguousarray(X)
     return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
+
+
+# Euclidean norm of all entries of an array, as np.linalg.norm takes it.
+_norm = overflow_safe(axis=None)(np.linalg.norm)
 
 
 def pattern_decentralized(K, neighborhoods):
@@ -147,8 +155,25 @@ def approx_equal(u, v, tol):
 
 
 # ---------------------------------------------------------------------------
-# 2x2 dynamics with diagonal B, Q, R
+# 2x2 dynamics with B = I and diagonal Q, R
 # ---------------------------------------------------------------------------
+
+# The four conditions of diagonal_cost_conditions, in the order check thm1 prints them.
+DIAGONAL_COST_CONDITIONS = ("opposite_offdiag_signs", "same_diag_signs",
+                            "state_weight_ratio", "input_weight_ratio")
+
+
+def diagonal_cost_stack(a0, a1, a_minus1, a2, q0, q2, r0, r2):
+    """Unvalidated (A, B, Q, R) of the plants [[a0, a1], [a_minus1, a2]] with
+    B = I, Q = diag(q0, q2) and R = diag(r0, r2), R's entries as given. The
+    arguments broadcast: scalars give 2x2 matrices, N-vectors stacks of N."""
+    shape = np.broadcast_shapes(*map(np.shape, (a0, a1, a_minus1, a2, q0, q2, r0, r2)))
+    A, B, Q, R = (np.zeros(shape + (2, 2)) for _ in range(4))
+    A[..., 0, 0], A[..., 0, 1], A[..., 1, 0], A[..., 1, 1] = a0, a1, a_minus1, a2
+    B[..., 0, 0] = B[..., 1, 1] = 1.0
+    Q[..., 0, 0], Q[..., 1, 1], R[..., 0, 0], R[..., 1, 1] = q0, q2, r0, r2
+    return A, B, Q, R
+
 
 @dataclass
 class DiagonalCost2x2:
@@ -170,16 +195,27 @@ class DiagonalCost2x2:
         for name in ("q0", "q2", "gamma0", "gamma2"):
             setattr(self, name, as_positive_real(getattr(self, name), name))
 
-    def state_matrix(self):
-        return np.array([[self.a0, self.a1], [self.a_minus1, self.a2]])
-
     def lqr_problem(self):
-        return LqrProblem(
-            A=self.state_matrix(),
-            B=np.eye(2),
-            Q=np.diag([self.q0, self.q2]),
-            R=np.diag([1.0 / self.gamma0, 1.0 / self.gamma2]),
-        )
+        *entries, gamma0, gamma2 = astuple(self)
+        return LqrProblem(*diagonal_cost_stack(*entries, 1.0 / gamma0, 1.0 / gamma2))
+
+    @classmethod
+    def from_problem(cls, A, B, Q, R):
+        """The member whose problem is (A, B, Q, R), gamma = 1/diag(R). An
+        InputError names the first hypothesis that fails: 2x2 data, B = I,
+        Q and R diagonal (within 1e-12 of max(1, its norm)), a valid LqrProblem."""
+        A, B, Q, R = (as_real_array(M, name) for M, name in zip((A, B, Q, R), "ABQR"))
+        if any(M.shape != (2, 2) for M in (A, B, Q, R)):
+            raise InputError("this check needs a 2x2 dense system")
+        for M, target, need in ((B, np.eye(2), "B = I (rescale the input first)"),
+                                (Q, np.diag(np.diag(Q)), "a diagonal Q"),
+                                (R, np.diag(np.diag(R)), "a diagonal R")):
+            if np.max(np.abs(M - target)) > 1e-12 * max(1.0, _norm(M)):
+                raise InputError(f"this check needs {need}")
+        LqrProblem(A=A, B=B, Q=Q, R=R)  # weights are read off valid data only
+        with np.errstate(over="ignore"):  # gamma = inf, from a subnormal r, is refused
+            gamma0, gamma2 = 1.0 / np.diag(R)
+        return cls(*A.ravel(), *np.diag(Q), gamma0, gamma2)
 
 
 def _require_nonzero_coupling(a1, a_minus1, a2):
@@ -262,8 +298,7 @@ def diagonal_riccati_roots(sys):
     """
     holds, details = diagonal_cost_conditions(sys)
     if not holds:
-        failed = [k for k in ("opposite_offdiag_signs", "same_diag_signs",
-                              "state_weight_ratio", "input_weight_ratio") if not details[k]]
+        failed = [k for k in DIAGONAL_COST_CONDITIONS if not details[k]]
         raise InputError(f"conditions do not hold (failed: {', '.join(failed)})")
     ratio = sys.a2 / sys.gamma2
     p2 = ratio + math.sqrt(ratio * ratio + sys.q2 / sys.gamma2)
@@ -295,7 +330,7 @@ def _frequency_data(a, b, q, r):
     for name, spec, vals in (("q", q, qh), ("r", r, rh)):
         row = spec.first_row
         odd = row - np.roll(row[::-1], 1)
-        if np.linalg.norm(odd) > 1e-10 * max(1.0, np.linalg.norm(row)):
+        if _norm(odd) > 1e-10 * max(1.0, _norm(row)):
             raise InputError(f"'{name}' must be symmetric (first row even)")
         if np.min(vals.real) <= 0:
             raise InputError(f"'{name}' must be positive definite")

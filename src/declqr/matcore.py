@@ -24,6 +24,7 @@ inequality, calling is_hurwitz only where that fails. A healthy solve runs the
 kernel twice: on the Hamiltonian and on one Lyapunov stack.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -144,6 +145,32 @@ def _norm1(X):
     return np.maximum.reduce(np.add.reduce(np.abs(X), axis=-2), axis=-1)
 
 
+def overflow_safe(axis):
+    """Decorator for a Euclidean norm taken over axis of each item of an array.
+
+    Squaring overflows above about 1.3e154, and a relative test against an
+    infinite scale passes for any value. So the wrapped norm is taken once with
+    overflow warnings off, as _sign's steps are, and every item whose norm came
+    out inf although its entries are finite is taken again as s * norm(X / s),
+    s its largest absolute entry. Every finite norm is bitwise the plain one.
+    """
+    def wrap(norm):
+        @functools.wraps(norm)
+        def safe(X):
+            with np.errstate(over="ignore"):
+                out = norm(X)
+                big = out == np.inf
+                if not np.count_nonzero(big):
+                    return out
+                s = np.max(np.abs(X), axis=axis, keepdims=True)
+                # Other items divide by 1: a zero item stays 0, an inf entry inf.
+                s = np.where((0.0 < s) & (s < np.inf), s, 1.0)
+                return np.where(big, np.squeeze(s, axis) * norm(X / s), out)[()]
+        return safe
+    return wrap
+
+
+@overflow_safe(axis=(-2, -1))
 def _fro(X):
     """Frobenius norm of each item of a stack."""
     return np.sqrt(np.add.reduce(X * X, axis=(-2, -1)))

@@ -5,7 +5,8 @@
 * discrete diffusion of n subsystems on a ring, with the cost that makes the
   optimal gain the identity;
 * heat transfer between two heated chambers across a shared wall;
-* the 2x2 rotation-plus-growth plant used for cost-landscape studies.
+* the 2x2 rotation-plus-growth plant used for cost-landscape studies, a
+  member of decentral's diagonal-cost family, which builds its matrices.
 
 Units are documented on the parameter types but not enforced; constructors
 emit plain dimensionless matrices for the solvers.
@@ -15,9 +16,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .decentral import RATIO_TOL, approx_equal, balance_ratio
+from .decentral import RATIO_TOL, DiagonalCost2x2, approx_equal, balance_ratio
 from .errors import InputError
-from .lqr import LqrProblem
 from .matcore import as_count, as_positive_real
 from .spectral import CirculantSpec, identity_spec
 
@@ -149,9 +149,6 @@ def chamber_system(p):
 
 
 def perf_example_system(q0=1.0, gamma2=1.0):
-    """2x2 plant [[1, 1], [-1, 1]] with B = I, Q = diag(q0, 1) and
-    R = diag(1, 1/gamma2)."""
-    q0 = as_positive_real(q0, "q0")
-    gamma2 = as_positive_real(gamma2, "gamma2")
-    A = np.array([[1.0, 1.0], [-1.0, 1.0]])
-    return LqrProblem(A=A, B=np.eye(2), Q=np.diag([q0, 1.0]), R=np.diag([1.0, 1.0 / gamma2]))
+    """The 2x2 cost-landscape problem: plant [[1, 1], [-1, 1]] with B = I,
+    Q = diag(q0, 1) and R = diag(1, 1/gamma2)."""
+    return DiagonalCost2x2(1.0, 1.0, -1.0, 1.0, q0, 1.0, 1.0, gamma2).lqr_problem()

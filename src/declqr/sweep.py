@@ -1,8 +1,8 @@
 """Parameter sweeps of the 2x2 cost-landscape system.
 
-Each sweep kind is one problem builder in PROBLEM_BUILDERS, mapping the
-axis values of the grid points (axis1, axis2) to stacked (A, B, Q, R), and one
-default config in DEFAULT_CONFIGS; run_sweep solves the whole stack at once:
+Each sweep kind is one builder in PROBLEM_BUILDERS, mapping the axis values of
+the grid points to stacked (A, B, Q, R) by decentral.diagonal_cost_stack, and
+one default config in DEFAULT_CONFIGS; run_sweep solves the whole stack at once:
 
 * "qr":  vary the state-weight ratio q0/q2 (axis1) and the input-weight ratio
          gamma0/gamma2 (axis2) for the fixed plant [[1, 1], [-1, 1]];
@@ -21,14 +21,18 @@ curve_excluded. Output is a CSV (fixed column order, floats with 17
 significant digits, records sorted by grid indices, so identical configs give
 byte-identical files) plus a JSON sidecar with the config, summary statistics
 and (qa) the locus samples.
+
+A config's keys are SweepConfig's fields, and an axis's keys those of
+AXIS_KEYS, which from_dict reads and SweepAxis.to_dict writes; any other key is
+an InputError that names it.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from .decentral import pattern_decentralized, single_station_neighborhoods
+from .decentral import diagonal_cost_stack, pattern_decentralized, single_station_neighborhoods
 from .errors import InputError
 from .matcore import as_count, as_real, solve_care_stack
 from .serialize import _format_rows, dumps_json
@@ -36,38 +40,37 @@ from .serialize import _format_rows, dumps_json
 CSV_COLUMNS = ("axis1", "axis2", "h2", "decentralized", "offdiag_mass", "status")
 
 
-def _plants(a2):
-    """Stacked plants [[1, 1], [-1, a2]], one per entry of a2."""
-    A = np.empty((len(a2), 2, 2))
-    A[:] = [[1.0, 1.0], [-1.0, 0.0]]
-    A[:, 1, 1] = a2
-    return A
-
-
-def _diagonals(d0, d1):
-    """Stacked diagonal matrices diag(d0, d1)."""
-    D = np.zeros((len(d0), 2, 2))
-    D[:, 0, 0], D[:, 1, 1] = d0, d1
-    return D
-
-
 def _qr_problem(q_ratio, g_ratio):
     """Plant [[1, 1], [-1, 1]] with q2 = 1 and gamma0 = 1, so Q = diag(q0/q2, 1)
     and R = diag(1, gamma0/gamma2)."""
-    one = np.ones(len(q_ratio))
-    return _plants(one), _diagonals(one, one), _diagonals(q_ratio, one), _diagonals(one, g_ratio)
+    return diagonal_cost_stack(1.0, 1.0, -1.0, 1.0, q_ratio, 1.0, 1.0, g_ratio)
 
 
 def _qa_problem(q0, a2):
     """Plant [[1, 1], [-1, a2]] with gamma2 = 1/q0 (the input-weight ratio
     condition at gamma0 = 1, q2 = 1), so Q = diag(q0, 1) and R = diag(1, q0)."""
-    one = np.ones(len(q0))
-    return _plants(a2), _diagonals(one, one), _diagonals(q0, one), _diagonals(one, q0)
+    return diagonal_cost_stack(1.0, 1.0, -1.0, a2, q0, 1.0, 1.0, q0)
 
 
 # Sweep kind -> problem builder: axis1 and axis2 values of N points to
 # stacked (A, B, Q, R) of N problems.
 PROBLEM_BUILDERS = {"qr": _qr_problem, "qa": _qa_problem}
+
+
+# Sweep-config axis key -> SweepAxis field, in the order to_dict writes them.
+AXIS_KEYS = {"name": "name", "min": "lo", "max": "hi", "steps": "steps", "spacing": "spacing"}
+
+
+def _kinds(quote):
+    """The sweep kinds of DEFAULT_CONFIGS, each in quote, joined by "or"."""
+    return " or ".join(f"{quote}{kind}{quote}" for kind in DEFAULT_CONFIGS)
+
+
+def _reject_unknown(keys, known, where):
+    """InputError naming the first of keys that known lacks."""
+    for key in keys:
+        if key not in known:
+            raise InputError(f"{where} has unknown key {key!r}")
 
 
 def _text(value, what):
@@ -104,13 +107,7 @@ class SweepAxis:
         return np.linspace(self.lo, self.hi, self.steps)
 
     def to_dict(self):
-        return {
-            "name": self.name,
-            "min": self.lo,
-            "max": self.hi,
-            "steps": self.steps,
-            "spacing": self.spacing,
-        }
+        return {key: getattr(self, attr) for key, attr in AXIS_KEYS.items()}
 
 
 @dataclass
@@ -122,8 +119,8 @@ class SweepConfig:
     output: Optional[str] = None
 
     def __post_init__(self):
-        if _text(self.kind, "sweep kind") not in PROBLEM_BUILDERS:
-            raise InputError("sweep kind must be 'qr' or 'qa'")
+        if _text(self.kind, "sweep kind") not in DEFAULT_CONFIGS:
+            raise InputError("sweep kind must be " + _kinds("'"))
         self.curve_samples = as_count(self.curve_samples, "curve_samples")
         if self.curve_samples < 2:
             raise InputError("curve_samples must be at least 2")
@@ -152,7 +149,8 @@ class SweepConfig:
             raise InputError("sweep config must be a JSON object")
         kind = data.get("kind")
         if not isinstance(kind, str) or kind not in DEFAULT_CONFIGS:
-            raise InputError("sweep config needs \"kind\": \"qr\" or \"qa\"")
+            raise InputError('sweep config needs "kind": ' + _kinds('"'))
+        _reject_unknown(data, {f.name for f in fields(cls)}, "sweep config")
         base = DEFAULT_CONFIGS[kind]()
 
         def axis(key, default):
@@ -161,13 +159,10 @@ class SweepConfig:
                 return default
             if not isinstance(spec, dict):
                 raise InputError(f"{key} must be an object")
-            return SweepAxis(
-                name=spec.get("name", default.name),
-                lo=spec.get("min", default.lo),
-                hi=spec.get("max", default.hi),
-                steps=spec.get("steps", default.steps),
-                spacing=spec.get("spacing", default.spacing),
-            )
+            _reject_unknown(spec, AXIS_KEYS, key)
+            return SweepAxis(**{
+                attr: spec.get(name, getattr(default, attr)) for name, attr in AXIS_KEYS.items()
+            })
 
         return cls(
             kind=kind,

@@ -178,8 +178,10 @@ class TestCheck:
             ),
             dense_document(-np.eye(3), np.eye(3), np.eye(3), np.eye(3)),
             dense_document([[1.0, 2.0], [-3.0, 4.0]], 2.0 * np.eye(2), np.eye(2), np.eye(2)),
+            # ||B|| squared overflows: against an infinite scale, B would pass for I.
+            dense_document([[1.0, 1.0], [-1.0, 1.0]], np.diag([1e200, 1.0]), np.eye(2), np.eye(2)),
         ],
-        ids=["circulant", "dense-3x3", "b-not-identity"],
+        ids=["circulant", "dense-3x3", "b-not-identity", "b-huge"],
     )
     def test_thm1_rejects_other_systems(self, tmp_path, capsys, doc):
         path = tmp_path / "sys.json"
@@ -187,6 +189,38 @@ class TestCheck:
         status, _ = run_cli(["check", "thm1", "--system", str(path)])
         assert status == 1
         assert "input error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "weights", [("Q", [3.0, -1.0]), ("R", [0.0, 1.0])], ids=["q-negative", "r-zero"]
+    )
+    def test_thm1_refuses_nonpositive_weights(self, tmp_path, capsys, weights):
+        # Weights are read only off a valid problem, so 1/r never meets r = 0.
+        name, diagonal = weights
+        mats = {"Q": np.eye(2), "R": np.eye(2), name: np.diag(diagonal)}
+        path = tmp_path / "weights.json"
+        save_system(
+            dense_document([[1.0, 1.0], [-1.0, 1.0]], np.eye(2), mats["Q"], mats["R"]), path
+        )
+        status, text = run_cli(["check", "thm1", "--system", str(path)])
+        assert (status, text) == (1, "check mode: thm1\n")
+        assert capsys.readouterr().err == f"input error: {name} must be positive definite\n"
+
+    def test_oracle_judges_a_gain_whose_norm_overflows(self, tmp_path):
+        # K is about 1e154 (R^{-1/2} Q^{1/2}) and ||K||_F squared overflows:
+        # against an infinite scale the coupled gain would pass for diagonal.
+        path = tmp_path / "huge.json"
+        save_system(
+            dense_document(
+                [[1.0, 1.0], [-1.0, 1.0]], np.eye(2), [[1.0, 0.5], [0.5, 1.0]], 1e-308 * np.eye(2)
+            ),
+            path,
+        )
+        status, text = run_cli(["check", "oracle", "--system", str(path)])
+        assert status == 0
+        assert "oracle decentralized: false\n" in text
+        mass = float(text.split("offdiag mass: ")[1].split()[0])
+        # The off-diagonal share of K = c Q^{1/2}: sin(pi/12) for this Q.
+        assert mass == pytest.approx(np.sin(np.pi / 12), rel=1e-12)
 
     def test_oracle_mode(self, worked_file):
         status, text = run_cli(["check", "oracle", "--system", worked_file])
@@ -405,11 +439,12 @@ class TestSweepCommand:
         assert first.read_bytes() == second.read_bytes()
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
-    def test_bad_config_is_input_error(self, tmp_path):
+    def test_bad_config_is_input_error(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"kind": "nope"}')
         status, _ = run_cli(["sweep", "--config", str(cfg_path)])
         assert status == 1
+        assert capsys.readouterr().err == 'input error: sweep config needs "kind": "qr" or "qa"\n'
 
     @pytest.mark.parametrize(
         "cfg",
@@ -452,6 +487,27 @@ class TestSweepCommand:
         status, _ = run_cli(["sweep", "--config", str(cfg_path)])
         assert status == 1
         assert "input error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            ({"kind": "qr", "axis1": {"mni": 0.5, "max": 2, "steps": 3}},
+             "axis1 has unknown key 'mni'"),
+            ({"kind": "qa", "axis2": {"min": 0.5, "stpes": 3}}, "axis2 has unknown key 'stpes'"),
+            ({"kind": "qr", "axis3": {"min": 0.5}}, "sweep config has unknown key 'axis3'"),
+            ({"kind": "qr", "curve_sample": 4}, "sweep config has unknown key 'curve_sample'"),
+        ],
+        ids=["axis1-min", "axis2-steps", "top-axis3", "top-curve-samples"],
+    )
+    def test_unknown_config_key_is_input_error(self, tmp_path, capsys, monkeypatch, cfg, message):
+        # A misspelled key must not leave the sweep on its default value.
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        status, _ = run_cli(["sweep", "--config", str(cfg_path)])
+        assert status == 1
+        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_neither_flag_is_input_error(self, capsys):
         status, _ = run_cli(["sweep"])

@@ -77,6 +77,15 @@ class TestPatternDecentralized:
             assert (ok[i], mass[i]) == pattern_decentralized(gain, single_station_neighborhoods(3))
         assert ok[::3].all() and not ok[1::3].any()
 
+    def test_norm_overflow_is_no_conformance(self):
+        # ||K||_F squared overflows: against an infinite scale any K would pass.
+        K = np.array([[1e200, 1e200], [0.0, 1e200]])
+        ok, mass = pattern_decentralized(K, single_station_neighborhoods(2))
+        assert not ok
+        assert mass == pytest.approx(1.0 / np.sqrt(3.0), rel=1e-15)
+        ok, mass = pattern_decentralized(np.array([K, np.eye(2)]), single_station_neighborhoods(2))
+        assert list(ok) == [False, True] and mass[1] == 0.0
+
     def test_out_of_range_neighborhood(self):
         with pytest.raises(InputError):
             pattern_decentralized(np.eye(2), [{0}, {5}])
@@ -193,6 +202,54 @@ class TestDiagonalCostConditions:
                 assert holds == holds0
 
 
+class TestDiagonalCostFamily:
+    def test_stack_broadcasts_scalars_and_arrays(self):
+        A, B, Q, R = decentral.diagonal_cost_stack(1.0, 2.0, -3.0, 4.0, 3.0, 8.0, 0.11, 0.19)
+        assert np.array_equal(A, [[1.0, 2.0], [-3.0, 4.0]])
+        assert np.array_equal(B, np.eye(2))
+        assert np.array_equal(Q, np.diag([3.0, 8.0]))
+        assert np.array_equal(R, np.diag([0.11, 0.19]))  # R's entries as given
+        a2, q0 = np.array([0.5, 2.0, 7.0]), np.array([1.0, 3.0, 0.25])
+        stacks = decentral.diagonal_cost_stack(1.0, 1.0, -1.0, a2, q0, 1.0, 1.0, q0)
+        assert [X.shape for X in stacks] == [(3, 2, 2)] * 4
+        for i in range(3):
+            one = decentral.diagonal_cost_stack(1.0, 1.0, -1.0, a2[i], q0[i], 1.0, 1.0, q0[i])
+            assert all(np.array_equal(X[i], Y) for X, Y in zip(stacks, one))
+
+    def test_from_problem_reads_the_family_back(self):
+        prob = worked_system().lqr_problem()
+        sys2 = DiagonalCost2x2.from_problem(prob.A, prob.B, prob.Q, prob.R)
+        assert (sys2.a0, sys2.a1, sys2.a_minus1, sys2.a2, sys2.q0, sys2.q2) == (
+            1.0, 2.0, -3.0, 4.0, 3.0, 8.0
+        )
+        assert (sys2.gamma0, sys2.gamma2) == (1.0, pytest.approx(6.0, rel=1e-15))
+        assert diagonal_cost_conditions(sys2)[0]
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"A": -np.eye(3), "B": np.eye(3), "Q": np.eye(3), "R": np.eye(3)},
+             "needs a 2x2 dense system"),
+            ({"B": [[1.0], [0.0]]}, "needs a 2x2 dense system"),
+            ({"B": 2.0 * np.eye(2)}, "needs B = I"),
+            # ||B|| squared overflows: against an infinite scale, B would pass for I.
+            ({"B": np.diag([1e200, 1.0])}, "needs B = I"),
+            ({"Q": [[3.0, 0.5], [0.5, 8.0]]}, "needs a diagonal Q"),
+            ({"R": [[1.0, 0.5], [0.5, 1.0]]}, "needs a diagonal R"),
+            ({"R": np.diag([0.0, 1.0])}, "R must be positive definite"),
+            ({"R": np.diag([-1.0, 1.0])}, "R must be positive definite"),
+            ({"Q": np.diag([3.0, 0.0])}, "Q must be positive definite"),
+        ],
+        ids=["3x3", "one-input", "b-scaled", "b-huge", "coupled-q", "coupled-r",
+             "zero-r", "negative-r", "zero-q"],
+    )
+    def test_from_problem_refuses(self, change, message):
+        data = {"A": [[1.0, 2.0], [-3.0, 4.0]], "B": np.eye(2),
+                "Q": np.diag([3.0, 8.0]), "R": np.eye(2), **change}
+        with pytest.raises(InputError, match=message):
+            DiagonalCost2x2.from_problem(data["A"], data["B"], data["Q"], data["R"])
+
+
 class TestSynthesizeDiagonalCost:
     def test_worked_dynamics(self):
         sys2 = synthesize_diagonal_cost(1.0, 2.0, -3.0, 4.0, q2=8.0, gamma2=6.0)
@@ -239,7 +296,7 @@ class TestSynthesizeDiagonalCost:
             assert report.offdiag_mass <= 1e-6
             p0, p2 = diagonal_riccati_roots(sys2)
             care = solve_care(
-                sys2.state_matrix(),
+                [[sys2.a0, sys2.a1], [sys2.a_minus1, sys2.a2]],
                 np.eye(2),
                 np.diag([sys2.q0, sys2.q2]),
                 np.diag([1.0 / sys2.gamma0, 1.0 / sys2.gamma2]),
@@ -334,6 +391,12 @@ class TestFindUniformGain:
         eye = identity_spec(4)
         with pytest.raises(InputError, match="'q' must be symmetric"):
             find_uniform_gain(eye, eye, CirculantSpec([2.0, 0.5, 0.0, 0.1]), eye)
+
+    def test_huge_non_symmetric_q_rejected(self):
+        # The squared norms overflow, and inf <= 1e-10 * inf would hold.
+        a, b, r = CirculantSpec([-2.0, 1.0, 1.0]), identity_spec(3), identity_spec(3)
+        with pytest.raises(InputError, match="'q' must be symmetric"):
+            find_uniform_gain(a, b, CirculantSpec([1e200, 1e200, 0.0]), r)
 
     def test_indefinite_q_rejected(self):
         eye = identity_spec(4)

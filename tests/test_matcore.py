@@ -510,6 +510,23 @@ class TestStackedPublicFunctions:
                 matcore.require_spd(M[i], "Q")
             assert type(errors[i]) is InputError and str(errors[i]) == str(excinfo.value)
 
+    def test_require_spd_judges_huge_asymmetry(self):
+        # Squared norms overflow above about 1.3e154; compared against an
+        # infinite scale, an asymmetry of 82% of ||Q|| would pass.
+        with pytest.raises(InputError, match="Q must be symmetric"):
+            matcore.require_spd([[1e200, 1e200], [0.0, 1e200]], "Q")
+        assert np.array_equal(matcore.require_spd(1e200 * np.eye(2), "Q"), 1e200 * np.eye(2))
+
+
+def test_frobenius_norm_survives_overflow():
+    X = np.array([[[3e200, 4e200], [0.0, 0.0]], np.zeros((2, 2)), [[np.inf, 0.0], [0.0, 1.0]],
+                  [[1.0, 2.0], [3.0, 4.0]], [[1.5e308, 1.5e308], [0.0, 0.0]]])
+    norms = matcore._fro(X)
+    assert norms[0] == pytest.approx(5e200, rel=1e-15)
+    assert norms[1] == 0.0 and norms[2] == np.inf and norms[4] == np.inf
+    assert norms[3] == np.sqrt(30.0)  # a finite norm is the plain one, bitwise
+    assert matcore._fro(X[0]) == norms[0]
+
 
 @st.composite
 def lqr_stacks(draw):

@@ -51,6 +51,9 @@ class TestConfig:
     def test_bad_kind_rejected(self):
         with pytest.raises(InputError):
             SweepConfig.from_dict({"kind": "zz"})
+        axis = SweepAxis("x", 1.0, 2.0, 3)
+        with pytest.raises(InputError, match="^sweep kind must be 'qr' or 'qa'$"):
+            SweepConfig(kind="zz", axis1=axis, axis2=axis)
 
     def test_bad_axis_rejected(self):
         with pytest.raises(InputError):
