@@ -176,8 +176,11 @@ def _cmd_model(args, out):
     elif args.name == "predprey":
         params = _model_params(models.PredatorPreyParams, vars(args))
         entries = models.predator_prey_jacobian(params).ravel()
+        weights = {k: getattr(args, k) for k in ("q2", "gamma2") if getattr(args, k) is not None}
         if args.decentralizing_cost:
-            sys2 = decentral.synthesize_diagonal_cost(*entries, q2=args.q2, gamma2=args.gamma2)
+            sys2 = decentral.synthesize_diagonal_cost(*entries, **weights)
+        elif weights:
+            raise InputError(f"--{next(iter(weights))} needs --decentralizing-cost")
         else:
             sys2 = decentral.DiagonalCost2x2(*entries, 1.0, 1.0, 1.0, 1.0)
         prob = sys2.lqr_problem()
@@ -274,8 +277,8 @@ def _build_parser():
         action="store_true",
         help="synthesize the diagonal cost that makes the gain diagonal",
     )
-    m.add_argument("--q2", type=float, default=1.0)
-    m.add_argument("--gamma2", type=float, default=1.0)
+    m.add_argument("--q2", type=float, help="q2 of the synthesized cost (default 1)")
+    m.add_argument("--gamma2", type=float, help="gamma2 of the synthesized cost (default 1)")
     m.add_argument("--out")
     m.set_defaults(func=_cmd_model)
 

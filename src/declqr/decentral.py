@@ -17,9 +17,9 @@ state that means a diagonal K. This module provides
 
 Tolerance split: analytic ratio identities are checked at 1e-10 (exact
 arithmetic facts), while oracle diagonality is judged at 1e-6, downstream of
-the iterative Riccati solve. The scale of every relative test is a norm under
-matcore.overflow_safe, so entries above about 1.3e154 cannot pass against an
-infinite scale.
+the iterative Riccati solve. The scale of every relative test is
+matcore._fro, which stays finite for finite entries, so entries above about
+1.3e154 cannot pass against an infinite scale.
 """
 
 import math
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InputError
 from .lqr import LqrProblem, solve_lqr
-from .matcore import as_positive_real, as_real, as_real_array, overflow_safe
+from .matcore import _fro, as_positive_real, as_real, as_real_array
 from .spectral import CirculantSpec, circulant_eigenvalues, circulant_materialize
 
 # Relative tolerance for analytic ratio identities.
@@ -73,18 +73,6 @@ def normalize_neighborhoods(neighborhoods, n_inputs, n_states):
     return nbhd
 
 
-@overflow_safe(axis=-1)
-def _row_norms(X):
-    """Euclidean norm of each row of X by a dot product, as np.linalg.norm
-    takes it for one vector, so a stacked mass is bitwise the one-gain mass."""
-    X = np.ascontiguousarray(X)
-    return np.sqrt((X[:, None, :] @ X[:, :, None])[:, 0, 0])
-
-
-# Euclidean norm of all entries of an array, as np.linalg.norm takes it.
-_norm = overflow_safe(axis=None)(np.linalg.norm)
-
-
 def pattern_decentralized(K, neighborhoods):
     """Test whether K, or each gain of a stack K (N, m, n), conforms to the
     neighborhood sparsity pattern.
@@ -104,9 +92,9 @@ def pattern_decentralized(K, neighborhoods):
         off_mask[i, sorted(nb)] = False
     gains = K.reshape(-1, m * n)
     off = gains[:, off_mask.ravel()]
-    k_norm = _row_norms(gains)
+    k_norm = _fro(gains[:, None, :])
     conforms = np.abs(off).max(axis=1, initial=0.0) <= ORACLE_TOL * np.maximum(1.0, k_norm)
-    mass = np.divide(_row_norms(off), k_norm, out=np.zeros_like(k_norm), where=k_norm > 0)
+    mass = np.divide(_fro(off[:, None, :]), k_norm, out=np.zeros_like(k_norm), where=k_norm > 0)
     if K.ndim == 2:
         return bool(conforms[0]), float(mass[0])
     return conforms, mass
@@ -210,7 +198,7 @@ class DiagonalCost2x2:
         for M, target, need in ((B, np.eye(2), "B = I (rescale the input first)"),
                                 (Q, np.diag(np.diag(Q)), "a diagonal Q"),
                                 (R, np.diag(np.diag(R)), "a diagonal R")):
-            if np.max(np.abs(M - target)) > 1e-12 * max(1.0, _norm(M)):
+            if np.max(np.abs(M - target)) > 1e-12 * max(1.0, _fro(M)):
                 raise InputError(f"this check needs {need}")
         LqrProblem(A=A, B=B, Q=Q, R=R)  # weights are read off valid data only
         with np.errstate(over="ignore"):  # gamma = inf, from a subnormal r, is refused
@@ -330,7 +318,7 @@ def _frequency_data(a, b, q, r):
     for name, spec, vals in (("q", q, qh), ("r", r, rh)):
         row = spec.first_row
         odd = row - np.roll(row[::-1], 1)
-        if _norm(odd) > 1e-10 * max(1.0, _norm(row)):
+        if _fro(odd[None]) > 1e-10 * max(1.0, _fro(row[None])):
             raise InputError(f"'{name}' must be symmetric (first row even)")
         if np.min(vals.real) <= 0:
             raise InputError(f"'{name}' must be positive definite")

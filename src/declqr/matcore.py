@@ -24,7 +24,6 @@ inequality, calling is_hurwitz only where that fails. A healthy solve runs the
 kernel twice: on the Hamiltonian and on one Lyapunov stack.
 """
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -145,35 +144,26 @@ def _norm1(X):
     return np.maximum.reduce(np.add.reduce(np.abs(X), axis=-2), axis=-1)
 
 
-def overflow_safe(axis):
-    """Decorator for a Euclidean norm taken over axis of each item of an array.
-
-    Squaring overflows above about 1.3e154, and a relative test against an
-    infinite scale passes for any value. So the wrapped norm is taken once with
-    overflow warnings off, as _sign's steps are, and every item whose norm came
-    out inf although its entries are finite is taken again as s * norm(X / s),
-    s its largest absolute entry. Every finite norm is bitwise the plain one.
-    """
-    def wrap(norm):
-        @functools.wraps(norm)
-        def safe(X):
-            with np.errstate(over="ignore"):
-                out = norm(X)
-                big = out == np.inf
-                if not np.count_nonzero(big):
-                    return out
-                s = np.max(np.abs(X), axis=axis, keepdims=True)
-                # Other items divide by 1: a zero item stays 0, an inf entry inf.
-                s = np.where((0.0 < s) & (s < np.inf), s, 1.0)
-                return np.where(big, np.squeeze(s, axis) * norm(X / s), out)[()]
-        return safe
-    return wrap
-
-
-@overflow_safe(axis=(-2, -1))
 def _fro(X):
-    """Frobenius norm of each item of a stack."""
-    return np.sqrt(np.add.reduce(X * X, axis=(-2, -1)))
+    """Euclidean norm of each item of a stack over its last two axes (of the
+    matrix, for 2-D X), the scale of every relative test: the dot product of
+    the C-ordered, raveled item, so every finite value is np.linalg.norm(item)
+    bitwise. Squaring overflows above about 1.3e154, and a relative test
+    against an infinite scale passes for any value: an item whose norm comes
+    out inf although its entries are finite is taken again as s * norm(X / s),
+    s its largest absolute entry.
+    """
+    v = np.ascontiguousarray(X).reshape(X.shape[:-2] + (X.shape[-2] * X.shape[-1], 1))
+    with np.errstate(over="ignore"):
+        out = np.sqrt((_t(v) @ v)[..., 0, 0])
+        big = out == np.inf
+        if not np.count_nonzero(big):
+            return out
+        s = np.max(np.abs(v), axis=(-2, -1), keepdims=True)
+        # Other items divide by 1: a zero item stays 0, an inf entry inf.
+        s = np.where((0.0 < s) & (s < np.inf), s, 1.0)
+        v = v / s
+        return np.where(big, s[..., 0, 0] * np.sqrt((_t(v) @ v)[..., 0, 0]), out)[()]
 
 
 def _compact(keep, *stacks):
@@ -203,8 +193,11 @@ def is_symmetric(M, tol=1e-10):
 
 def is_positive_definite(M):
     """Cholesky-based test, per item for a stack (tried item by item once
-    the stack's factorization fails); assumes M is (numerically) symmetric."""
-    M = (M + _t(M)) / 2.0
+    the stack's factorization fails); assumes M is (numerically) symmetric.
+    Entries above half the float range overflow to inf in the symmetrization,
+    silently: the factorization judges the result."""
+    with np.errstate(over="ignore"):
+        M = (M + _t(M)) / 2.0
     try:
         np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
@@ -635,13 +628,18 @@ def solve_care_stack(A, B, Q, R):
     return _solve_care_validated(*_validate_stack(A, B, Q, R))
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _solve_care_validated(A, B, Q, R, errors):
     """solve_care_stack on data that already passed its checks: float stacks
     of fitting shapes, A and B finite and Q and R SPD as _validate_stack
     judges them, and errors[i] None or item i's error, which stops it before
     the first step (the list is filled in place). A caller that assembled its
     data from validated blocks (secondorder.reduce_and_solve) enters here, so
-    the blocks are not validated a second time."""
+    the blocks are not validated a second time.
+
+    As in _sign, floating-point errors do not warn: one item's overflow must
+    not stop the others, and every item is judged on its finite results. An
+    item whose G = B R^{-1} B' is not finite fails as UnstabilizableError."""
     N, n, m = B.shape
     iterations = np.zeros(N, dtype=int)
     live = np.arange(N)
@@ -664,6 +662,12 @@ def _solve_care_validated(A, B, Q, R, errors):
 
     live, A, B, Q, R = _compact(book(errors), live, A, B, Q, R)
     G = B @ np.linalg.solve(R, _t(B))
+    finite = np.logical_and.reduce(np.isfinite(G), axis=(1, 2))
+    overflow = (
+        "unstabilizable or ill-conditioned pair: G = B R^-1 B' is not finite in 64-bit floats"
+    )
+    keep = book([None if ok else UnstabilizableError(overflow) for ok in finite])
+    live, A, B, Q, R, G = _compact(keep, live, A, B, Q, R, G)
     g = _norm1(G)
     rho = np.sqrt(np.divide(_norm1(Q), g, out=np.ones_like(g), where=g > 0))[:, None, None]
     H = np.empty((len(live), 2 * n, 2 * n))

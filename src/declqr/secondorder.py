@@ -27,7 +27,7 @@ import numpy as np
 from .decentral import DecentralReport, pattern_decentralized, position_velocity_neighborhoods
 from .errors import InputError, SolverError
 from .lqr import LqrProblem
-from .matcore import _solve_care_validated, as_matrix, is_positive_definite, require_spd
+from .matcore import _fro, _solve_care_validated, as_matrix, is_positive_definite, require_spd
 
 
 @dataclass
@@ -126,8 +126,8 @@ def reduce_and_solve(sys):
 
     full = _staged("stage-full", lambda: _solve(*_augmented(sys)))
     agreement = max(
-        float(np.linalg.norm(full.K[:, :n] - care1.K)),
-        float(np.linalg.norm(full.K[:, n:] - care2.K)),
+        float(_fro(full.K[:, :n] - care1.K)),
+        float(_fro(full.K[:, n:] - care2.K)),
     )
     corner = full.P[:n, n:]
     return SecondOrderSolution(
@@ -139,7 +139,7 @@ def reduce_and_solve(sys):
         full_P=full.P,
         full_gain=full.K,
         agreement_residual=agreement,
-        corner_asymmetry=float(np.linalg.norm(corner - corner.T)),
+        corner_asymmetry=float(_fro(corner - corner.T)),
     )
 
 
@@ -158,8 +158,8 @@ def check_second_order_decentral(solution):
     red_ok, red_mass = pattern_decentralized(reduced, nbhd)
     scale = max(
         1.0,
-        float(np.linalg.norm(solution.gain_pos)),
-        float(np.linalg.norm(solution.gain_vel)),
+        float(_fro(solution.gain_pos)),
+        float(_fro(solution.gain_vel)),
     )
     verdicts = [
         ("reduced_gain_blocks_diagonal", red_ok, {"offdiag_mass": red_mass}),

@@ -102,6 +102,32 @@ class TestSystemFileErrors:
         assert status == 1
         assert "input error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, text, shown, message",
+        [
+            ("solve", '{"kind": "second_order", "A1": [[-1]], "A2": [[-1]], "B0": [[1]], '
+             '"Q0": [[1]], "Q2": [[1]], "R0": [[1]]}',
+             "", "second-order system files solve through 'reduce', not 'solve'"),
+            ("check thm2", '{"kind": "dense", "A": [[-1]], "B": [[1]], "Q": [[1]], "R": [[1]]}',
+             "check mode: thm2\n", "expected a circulant system file, got kind 'dense'"),
+            ("check cor3", '{"kind": "circulant", "A_first_row": [-3, 1, 1], '
+             '"B_first_row": [1, 0, 0], "Q_first_row": [1, 0, 0], "R_first_row": [1, 0, 0]}',
+             "check mode: cor3\n", "spec 'a' must have size 2, got 3"),
+            ("solve",
+             '{"kind": "dense", "A": [[-1]], "B": [[1]], "Q": [[1]], "R": [[1]], "model": [1]}',
+             "", "'model' must be an object when present"),
+            ("solve", '{"kind": "sparse", "A": [[-1]]}',
+             "", "system file 'kind' must be one of: dense, circulant, second_order"),
+        ],
+        ids=["solve-second-order", "thm2-dense", "cor3-size-3", "model-not-object", "unknown-kind"],
+    )
+    def test_refusal_names_its_cause(self, tmp_path, capsys, command, text, shown, message):
+        path = tmp_path / "sys.json"
+        path.write_text(text)
+        status, out = run_cli(command.split() + ["--system", str(path)])
+        assert (status, out) == (1, shown)
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
 
 class TestCheck:
     def test_thm1_on_worked_system(self, worked_file):
@@ -221,6 +247,20 @@ class TestCheck:
         mass = float(text.split("offdiag mass: ")[1].split()[0])
         # The off-diagonal share of K = c Q^{1/2}: sin(pi/12) for this Q.
         assert mass == pytest.approx(np.sin(np.pi / 12), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "B, R", [(np.diag([1e200, 1.0]), np.eye(2)), (np.eye(2), np.diag([1e-320, 1.0]))],
+        ids=["b-huge", "r-subnormal"],
+    )
+    def test_oracle_names_an_overflowing_hamiltonian(self, tmp_path, capsys, B, R):
+        path = tmp_path / "huge.json"
+        save_system(dense_document([[1.0, 1.0], [-1.0, 1.0]], B, np.eye(2), R), path)
+        status, text = run_cli(["check", "oracle", "--system", str(path)])
+        assert (status, text) == (2, "check mode: oracle\n")
+        assert capsys.readouterr().err == (
+            "solver failure: unstabilizable or ill-conditioned pair: "
+            "G = B R^-1 B' is not finite in 64-bit floats\n"
+        )
 
     def test_oracle_mode(self, worked_file):
         status, text = run_cli(["check", "oracle", "--system", worked_file])
@@ -345,6 +385,32 @@ class TestModel:
         system = load_system(path)
         _, _, Q, _ = system.payload
         assert Q[0, 0] / Q[1, 1] == pytest.approx(2.0, rel=1e-12)
+
+    def test_predprey_synthesized_cost_takes_the_given_weights(self):
+        status, text = run_cli(["model", "predprey", "--r1", "2", "--r2", "1", "--k1", "1",
+                                "--k2", "1", "--b", "1", "--e", "1",
+                                "--decentralizing-cost", "--q2", "5", "--gamma2", "4"])
+        assert status == 0
+        doc = json.loads(text)
+        assert doc["Q"][1][1] == 5.0 and doc["R"][1][1] == 0.25
+
+    @pytest.mark.parametrize(
+        "weights", [["--q2", "5", "--gamma2", "3"], ["--gamma2", "3"]], ids=["q2-gamma2", "gamma2"]
+    )
+    def test_predprey_weights_need_decentralizing_cost(self, capsys, weights):
+        # Without the flag Q = R = I, and the weights would be dropped unrecorded.
+        status, text = run_cli(["model", "predprey", "--r1", "2", "--r2", "1", "--k1", "1",
+                                "--k2", "1", "--b", "1", "--e", "1"] + weights)
+        assert (status, text) == (1, "")
+        assert capsys.readouterr().err == f"input error: {weights[0]} needs --decentralizing-cost\n"
+
+    def test_diffusion_default_cost_is_identity(self):
+        status, text = run_cli(["model", "diffusion", "--n", "4"])
+        assert status == 0
+        doc = json.loads(text)
+        assert doc["A_first_row"] == [-2.0, 1.0, 0.0, 1.0]
+        identity_row = [1.0, 0.0, 0.0, 0.0]
+        assert doc["B_first_row"] == doc["Q_first_row"] == doc["R_first_row"] == identity_row
 
     def test_perf_model_solves(self, tmp_path):
         path = tmp_path / "perf.json"

@@ -330,6 +330,29 @@ class TestSolveCare:
         assert res.residual <= 1e-8 * max(1.0, np.linalg.norm(Q))
         assert is_hurwitz(A - 1e6 * B @ res.K)
 
+    @pytest.mark.parametrize(
+        "B, R", [(np.diag([1e200, 1.0]), np.eye(2)), (np.eye(2), np.diag([1e-320, 1.0]))],
+        ids=["b-huge", "r-subnormal"],
+    )
+    def test_overflowing_hamiltonian_data_is_named(self, B, R):
+        # G = B R^-1 B' overflows: the item fails by name, without a
+        # RuntimeWarning, and the other items of its stack solve.
+        A, I = np.array([[1.0, 1.0], [-1.0, 1.0]]), np.eye(2)
+        with pytest.raises(UnstabilizableError, match=r"G = B R\^-1 B' is not finite"):
+            solve_care(A, B, I, R)
+        out = solve_care_stack(*(np.array(pair) for pair in ((A, A), (B, I), (I, I), (R, I))))
+        assert isinstance(out.errors[0], UnstabilizableError) and out.errors[1] is None
+        assert np.array_equal(out.P[1], solve_care(A, I, I, I).P)
+
+    def test_weight_near_float_max_solves_without_warning(self):
+        # (Q + Q')/2 and the closed-loop certificate overflow on the way; the
+        # certificate falls back to is_hurwitz.
+        A = np.array([[0.0, 1.0], [1.0, 0.0]])
+        res = solve_care(A, np.eye(2), 1e308 * np.eye(2), np.eye(2))
+        assert np.isfinite(res.residual) and res.residual <= 1e-8 * 1e308
+        assert matcore.is_positive_definite(res.P) and is_hurwitz(A - res.K)
+        assert matcore.is_positive_definite(1e308 * np.eye(2))
+
     def test_residual_over_tolerance_is_nonconvergent(self, monkeypatch):
         # With no floor and a tolerance below any attainable residual, a
         # well-posed solve ends in the residual branch of the taxonomy.
@@ -526,6 +549,32 @@ def test_frobenius_norm_survives_overflow():
     assert norms[1] == 0.0 and norms[2] == np.inf and norms[4] == np.inf
     assert norms[3] == np.sqrt(30.0)  # a finite norm is the plain one, bitwise
     assert matcore._fro(X[0]) == norms[0]
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [(2, 2), (3, 5), (5, 3), (1, 4096), (4096, 1), (64, 64), (6, 1, 7), (40, 1, 4096), (5, 2, 3),
+     (3, 64, 64), (0, 3, 3), (0, 1, 4)],
+    ids=lambda shape: "x".join(map(str, shape)),
+)
+def test_frobenius_norm_is_numpy_norm_bitwise(shape):
+    rng = np.random.default_rng(sum(shape))
+    X = rng.standard_normal(shape) * rng.uniform(1e-3, 1e3, shape[:-2] + (1, 1))
+    norms = matcore._fro(X)
+    assert np.shape(norms) == shape[:-2]
+    if len(shape) == 2:
+        assert type(norms) is np.float64
+    items = X.reshape((-1,) + shape[-2:])
+    assert list(np.ravel(norms)) == [np.linalg.norm(item) for item in items]
+
+
+def test_row_norms_of_every_length_are_numpy_norms_bitwise():
+    rng = np.random.default_rng(15)
+    for k in range(1, 4097):
+        rows = rng.standard_normal((2, 1, k))
+        norms = matcore._fro(rows)
+        assert norms[0] == np.linalg.norm(rows[0]) == matcore._fro(rows[0])
+        assert norms[1] == np.linalg.norm(rows[1])
 
 
 @st.composite
