@@ -53,7 +53,6 @@ from .models import (
 from .secondorder import (
     SecondOrderSolution,
     SecondOrderSystem,
-    augment,
     check_second_order_decentral,
     reduce_and_solve,
 )

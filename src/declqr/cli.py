@@ -102,11 +102,12 @@ def _cmd_check(args, out):
     def uniform_gain():
         return decentral.find_uniform_gain(*system.circulant_specs())
 
-    c = None
+    c = prob = None
     if mode == "thm1":
         if system.kind != "dense":
             raise InputError("check thm1 needs a dense system file")
-        sys2 = decentral.DiagonalCost2x2.from_problem(*system.payload)
+        prob = system.lqr_problem()
+        sys2 = decentral.DiagonalCost2x2.from_problem(prob)
         holds, details = decentral.diagonal_cost_conditions(sys2)
         for key in decentral.DIAGONAL_COST_CONDITIONS:
             out.write(f"condition {key}: {_bool(details[key])}\n")
@@ -128,7 +129,7 @@ def _cmd_check(args, out):
     if c is not None:
         out.write(f"scalar gain c: {format_float(c)}\n")
 
-    report = decentral.oracle_check(system.lqr_problem())
+    report = decentral.oracle_check(prob or system.lqr_problem())
     _print_report(report, out)
     if system.kind == "circulant":
         _chamber_adjudication(system, report, uniform_gain, out)

@@ -22,7 +22,6 @@ matcore._fro, which stays finite for finite entries, so entries above about
 1.3e154 cannot pass against an infinite scale.
 """
 
-import math
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -112,24 +111,19 @@ class DecentralReport:
     analytic_verdicts: list = field(default_factory=list)
 
 
-def oracle_check(prob, neighborhoods=None):
-    """Solve prob and judge the gain against the neighborhood pattern.
+def oracle_check(prob):
+    """Solve prob and judge the gain against single-station neighborhoods,
+    which need one input per state.
 
     Every CLI check mode judges the system file's own problem here;
     run_sweep solves its whole stack with solve_care_stack and judges it with
-    one pattern_decentralized call, under the same rule. neighborhoods
-    defaults to single-station sets, which requires one input per state.
-    Solver errors propagate.
+    one pattern_decentralized call, under the same rule. Solver errors
+    propagate.
     """
-    if neighborhoods is None:
-        if prob.m != prob.n:
-            raise InputError(
-                "default single-station neighborhoods need one input per state; "
-                "pass neighborhoods explicitly"
-            )
-        neighborhoods = single_station_neighborhoods(prob.n)
+    if prob.m != prob.n:
+        raise InputError("single-station neighborhoods need one input per state")
     sol = solve_lqr(prob)
-    decentralized, mass = pattern_decentralized(sol.K, neighborhoods)
+    decentralized, mass = pattern_decentralized(sol.K, single_station_neighborhoods(prob.n))
     return DecentralReport(
         oracle_decentralized=decentralized,
         offdiag_mass=mass,
@@ -188,11 +182,11 @@ class DiagonalCost2x2:
         return LqrProblem(*diagonal_cost_stack(*entries, 1.0 / gamma0, 1.0 / gamma2))
 
     @classmethod
-    def from_problem(cls, A, B, Q, R):
-        """The member whose problem is (A, B, Q, R), gamma = 1/diag(R). An
-        InputError names the first hypothesis that fails: 2x2 data, B = I,
-        Q and R diagonal (within 1e-12 of max(1, its norm)), a valid LqrProblem."""
-        A, B, Q, R = (as_real_array(M, name) for M, name in zip((A, B, Q, R), "ABQR"))
+    def from_problem(cls, prob):
+        """The member whose problem is the LqrProblem prob, gamma = 1/diag(R).
+        An InputError names the first hypothesis that fails: 2x2 data, B = I,
+        Q and R diagonal (within 1e-12 of max(1, its norm))."""
+        A, B, Q, R = prob.A, prob.B, prob.Q, prob.R
         if any(M.shape != (2, 2) for M in (A, B, Q, R)):
             raise InputError("this check needs a 2x2 dense system")
         for M, target, need in ((B, np.eye(2), "B = I (rescale the input first)"),
@@ -200,7 +194,6 @@ class DiagonalCost2x2:
                                 (R, np.diag(np.diag(R)), "a diagonal R")):
             if np.max(np.abs(M - target)) > 1e-12 * max(1.0, _fro(M)):
                 raise InputError(f"this check needs {need}")
-        LqrProblem(A=A, B=B, Q=Q, R=R)  # weights are read off valid data only
         with np.errstate(over="ignore"):  # gamma = inf, from a subnormal r, is refused
             gamma0, gamma2 = 1.0 / np.diag(R)
         return cls(*A.ravel(), *np.diag(Q), gamma0, gamma2)
@@ -277,10 +270,18 @@ def synthesize_diagonal_cost(a0, a1, a_minus1, a2, q2=1.0, gamma2=1.0):
     )
 
 
+def _riccati_root(a, g, q):
+    """Positive root p of 2 a p - g p^2 + q = 0 (g, q > 0), elementwise and
+    free of cancellation: t/g for a > 0, else q/t, t = |a| + sqrt(a^2 + g q)
+    (Higham 2002, Accuracy and Stability of Numerical Algorithms, 1.8)."""
+    t = np.abs(a) + np.sqrt(a * a + g * q)
+    return np.where(a > 0, t / g, q / t)
+
+
 def diagonal_riccati_roots(sys):
     """Diagonal entries (p0, p2) of the Riccati solution for a conforming sys.
 
-    p2 is the positive root a2/gamma2 + sqrt((a2/gamma2)^2 + q2/gamma2) and
+    p2 is the positive root of 2 a2 p - gamma2 p^2 + q2 = 0 and
     p0 = -a_minus1 p2 / a1; both are strictly positive when
     diagonal_cost_conditions holds (required).
     """
@@ -288,8 +289,7 @@ def diagonal_riccati_roots(sys):
     if not holds:
         failed = [k for k in DIAGONAL_COST_CONDITIONS if not details[k]]
         raise InputError(f"conditions do not hold (failed: {', '.join(failed)})")
-    ratio = sys.a2 / sys.gamma2
-    p2 = ratio + math.sqrt(ratio * ratio + sys.q2 / sys.gamma2)
+    p2 = float(_riccati_root(sys.a2, sys.gamma2, sys.q2))
     p0 = -sys.a_minus1 * p2 / sys.a1
     if p2 <= 0 or p0 <= 0:
         raise InputError("no positive root pair exists for these parameters")
@@ -329,13 +329,13 @@ def uniform_gain_candidates(a, b, q, r):
     """Per-frequency optimal gains K(k) of a circulant quadruple.
 
     K(k) = conj(b(k)) p / r(k), where p > 0 is the stabilizing root of the
-    scalar Riccati equation 2 Re a(k) p - |b(k)|^2 p^2 / r(k) + q(k) = 0:
-    K(k) = (Re a(k) + sqrt(Re a(k)^2 + |b(k)|^2 q(k)/r(k))) / b(k). This is
-    exact for complex a(k), b(k) (non-symmetric A and B); Q and R must be
-    symmetric positive definite, so that q(k) and r(k) are real and positive.
+    scalar Riccati equation 2 Re a(k) p - |b(k)|^2 p^2 / r(k) + q(k) = 0,
+    taken without cancellation (_riccati_root). This is exact for complex
+    a(k), b(k) (non-symmetric A and B); Q and R must be symmetric positive
+    definite, so that q(k) and r(k) are real and positive.
     """
     ah, bh, qh, rh = _frequency_data(a, b, q, r)
-    return (ah.real + np.sqrt(ah.real ** 2 + np.abs(bh) ** 2 * qh / rh)) / bh
+    return np.conj(bh) * _riccati_root(ah.real, np.abs(bh) ** 2 / rh, qh) / rh
 
 
 def find_uniform_gain(a, b, q, r):

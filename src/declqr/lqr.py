@@ -11,12 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import solve_care, validate_lqr_data
+from .matcore import _as_float, _validate_stack, solve_care
 
 
 @dataclass
 class LqrProblem:
-    """State-feedback design data (A, B, Q, R) with Q, R symmetric positive definite."""
+    """State-feedback design data with Q, R symmetric positive definite,
+    validated as solve_care validates (matcore._validate_stack, a stack of one)."""
 
     A: np.ndarray
     B: np.ndarray
@@ -24,7 +25,12 @@ class LqrProblem:
     R: np.ndarray
 
     def __post_init__(self):
-        self.A, self.B, self.Q, self.R = validate_lqr_data(self.A, self.B, self.Q, self.R)
+        data = (self.A, self.B, self.Q, self.R)
+        stacks = (_as_float(X, name)[None] for X, name in zip(data, "ABQR"))
+        *data, errors = _validate_stack(*stacks)
+        if errors[0] is not None:
+            raise errors[0]
+        self.A, self.B, self.Q, self.R = (X[0] for X in data)
 
     @property
     def n(self):

@@ -187,8 +187,18 @@ def _scatter(X, index, N):
 
 
 def is_symmetric(M, tol=1e-10):
-    """True when ||M - M'||_F <= tol * max(1, ||M||_F); per item for a stack."""
-    return _fro(M - _t(M)) <= tol * np.maximum(1.0, _fro(M))
+    """True when ||M - M'||_F <= tol * max(1, ||M||_F); per item for a stack.
+    An item with ||M||_F >= 2^1022, where M - M' or the norm can overflow, is
+    judged on M / 2^e, 2^e the power of two at or below its largest entry:
+    the test is homogeneous once ||M||_F >= 1, and the division rounds only
+    the entries it takes below 2^-1022, far under the tolerance."""
+    scale = _fro(M)
+    huge = scale >= 2.0 ** 1022
+    if np.count_nonzero(huge):
+        _, e = np.frexp(np.max(np.abs(M), axis=(-2, -1), keepdims=True))
+        M = np.where(huge[..., None, None], np.ldexp(M, 1 - e), M)
+        scale = _fro(M)
+    return _fro(M - _t(M)) <= tol * np.maximum(1.0, scale)
 
 
 def is_positive_definite(M):
@@ -248,7 +258,7 @@ def _validate_stack(A, B, Q, R):
     Shapes hold for the whole stack: A (N, n, n), B (N, n, m), Q (N, n, n),
     R (N, m, m), else InputError. The finiteness of A and B and require_spd
     on Q and R are judged per item: errors[i] is None or the first InputError
-    of item i, in the order validate_lqr_data reports them.
+    of item i, in the order A, B, Q, R.
     """
     A, B, Q, R = stacks = tuple(_as_float(X, name) for X, name in zip((A, B, Q, R), "ABQR"))
     for X, name in zip(stacks, "ABQR"):
@@ -269,15 +279,6 @@ def _validate_stack(A, B, Q, R):
         _, spd_errors = require_spd(X, name)
         errors = [e or spd for e, spd in zip(errors, spd_errors)]
     return A, B, Q, R, errors
-
-
-def validate_lqr_data(A, B, Q, R):
-    """Validate LQR data once: finite A (n x n), B (n x m), SPD Q and R."""
-    stacks = (_as_float(X, name)[None] for X, name in zip((A, B, Q, R), "ABQR"))
-    *data, errors = _validate_stack(*stacks)
-    if errors[0] is not None:
-        raise errors[0]
-    return tuple(X[0] for X in data)
 
 
 def _newton_mean(X, Y, c3):

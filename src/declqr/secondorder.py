@@ -26,7 +26,6 @@ import numpy as np
 
 from .decentral import DecentralReport, pattern_decentralized, position_velocity_neighborhoods
 from .errors import InputError, SolverError
-from .lqr import LqrProblem
 from .matcore import _fro, _solve_care_validated, as_matrix, is_positive_definite, require_spd
 
 
@@ -88,24 +87,18 @@ def _augmented(sys):
     return A, B, Q, sys.R0
 
 
-def augment(sys):
-    """The 2n-state problem as an LqrProblem: A = [[0, I], [A1, A2]],
-    B = [0; B0], Q = blockdiag(Q0, Q2), R = R0."""
-    return LqrProblem(*_augmented(sys))
-
-
 def _solve(A, B, Q, R):
     """solve_care on blocks this module has validated, as a stack of one."""
     return _solve_care_validated(A[None], B[None], Q[None], R[None], [None]).item(0)
 
 
 def _staged(stage, fn):
+    """fn(), its error's message prefixed with the stage; class and attributes kept."""
     try:
         return fn()
-    except InputError as exc:
-        raise InputError(f"{stage}: {exc}") from exc
-    except SolverError as exc:
-        raise SolverError(f"{stage}: {exc}") from exc
+    except (InputError, SolverError) as exc:
+        exc.args = (f"{stage}: {exc}",)
+        raise
 
 
 def reduce_and_solve(sys):

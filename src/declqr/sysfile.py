@@ -82,8 +82,7 @@ class SystemFile:
     def lqr_problem(self):
         """Materialize to a dense LqrProblem (dense and circulant kinds)."""
         if self.kind == "dense":
-            A, B, Q, R = self.payload
-            return LqrProblem(A=A, B=B, Q=Q, R=R)
+            return LqrProblem(*self.payload)
         if self.kind == "circulant":
             return circulant_lqr_problem(*self.payload)
         raise InputError("second-order system files solve through 'reduce', not 'solve'")

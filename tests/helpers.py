@@ -2,12 +2,7 @@
 
 import numpy as np
 
-from declqr import (
-    CirculantSpec,
-    UnstabilizableError,
-    bass_stabilizing_gain,
-    solve_care,
-)
+from declqr import CirculantSpec, UnstabilizableError, solve_care
 from declqr.matcore import as_matrix
 
 
@@ -17,12 +12,21 @@ def random_spd(rng, n, scale=1.0):
     return M.T @ M + np.eye(n)
 
 
-def random_stabilizable_dense(rng, max_n=8, entry_range=2.0):
-    """Random (A, B, Q, R) passing the operational stabilizability certificate.
+def is_stabilizable(A, B):
+    """PBH test, independent of the solver's sign kernel: [A - lambda I, B]
+    has rank n at every eigenvalue lambda of A with Re lambda >= 0, each rank
+    by SVD (np.linalg.matrix_rank's default cut-off)."""
+    n = len(A)
+    return all(
+        np.linalg.matrix_rank(np.hstack([A - lam * np.eye(n), B])) == n
+        for lam in np.linalg.eigvals(A)
+        if lam.real >= 0
+    )
 
-    Draws are rejected when B loses column rank or the Bass construction
-    fails (an ill-conditioned pair does not count as a stabilizable instance).
-    """
+
+def random_stabilizable_dense(rng, max_n=8, entry_range=2.0):
+    """Random (A, B, Q, R) with B of full column rank and (A, B) stabilizable
+    by the PBH test (is_stabilizable); other draws are rejected."""
     while True:
         n = int(rng.integers(1, max_n + 1))
         m = int(rng.integers(1, n + 1))
@@ -32,11 +36,8 @@ def random_stabilizable_dense(rng, max_n=8, entry_range=2.0):
             continue
         Q = random_spd(rng, n)
         R = random_spd(rng, m)
-        try:
-            bass_stabilizing_gain(A, B)
-        except UnstabilizableError:
-            continue
-        return A, B, Q, R
+        if is_stabilizable(A, B):
+            return A, B, Q, R
 
 
 def solved_random_instance(rng, max_n=8):

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from declqr import CirculantSpec, SecondOrderSystem, decentral, identity_spec
+from declqr import CirculantSpec, SecondOrderSystem, decentral, identity_spec, lqr, matcore
 from declqr.cli import _build_parser, cli_main
 from declqr.sysfile import (
     circulant_document,
@@ -45,6 +45,14 @@ class TestSolve:
     def test_missing_file_is_input_error(self):
         status, _ = run_cli(["solve", "--system", "/nonexistent.json"])
         assert status == 1
+
+    def test_asymmetry_beyond_the_float_range_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        Q = [[1e308, 1e308], [-1e308, 1e308]]
+        save_system(dense_document([[1.0, 1.0], [-1.0, 1.0]], np.eye(2), Q, np.eye(2)), path)
+        status, text = run_cli(["solve", "--system", str(path)])
+        assert (status, text) == (1, "")
+        assert capsys.readouterr().err == "input error: Q must be symmetric\n"
 
     def test_unstabilizable_is_solver_failure(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -151,6 +159,31 @@ class TestCheck:
         )
         status, _ = run_cli(["check", "thm1", "--system", str(path)])
         assert status == 1
+
+    def test_thm1_validates_the_problem_before_the_family(self, tmp_path, capsys):
+        path = tmp_path / "asymmetric.json"
+        Q = [[3.0, 0.5], [0.0, 8.0]]
+        save_system(dense_document([[1.0, 2.0], [-3.0, 4.0]], np.eye(2), Q, np.eye(2)), path)
+        status, text = run_cli(["check", "thm1", "--system", str(path)])
+        assert (status, text) == (1, "check mode: thm1\n")
+        assert capsys.readouterr().err == "input error: Q must be symmetric\n"
+
+    @pytest.mark.parametrize("command", [["check", "thm1"], ["check", "oracle"], ["solve"]],
+                             ids=["thm1", "oracle", "solve"])
+    def test_one_validated_problem_per_command(self, worked_file, monkeypatch, command):
+        # LqrProblem validates Q and R, and solve_care validates them again
+        # (2 + 2 require_spd calls); check thm1 reads the same problem.
+        calls = []
+        post_init, require_spd = lqr.LqrProblem.__post_init__, matcore.require_spd
+        monkeypatch.setattr(
+            lqr.LqrProblem, "__post_init__", lambda prob: calls.append("problem") or post_init(prob)
+        )
+        monkeypatch.setattr(
+            matcore, "require_spd", lambda *args: calls.append("spd") or require_spd(*args)
+        )
+        status, _ = run_cli([*command, "--system", worked_file])
+        assert status == 0
+        assert (calls.count("problem"), calls.count("spd")) == (1, 4)
 
     def test_thm2_on_diffusion(self, tmp_path):
         status, _ = run_cli(
@@ -286,6 +319,17 @@ class TestCheck:
         marker = "oracle decentralized:"
         assert thm1[thm1.index(marker):] == oracle[oracle.index(marker):]
         assert [np.array_equal(prob.R, R) for prob in judged] == [True, True]
+
+    def test_thm2_on_a_strongly_stable_ring(self, tmp_path):
+        # (a + sqrt(a^2 + q)) rounds to 0 at a = -1e8; the gain is
+        # 1/(1e8 + sqrt(1e16 + 1)) = 5e-9, which the oracle prints as well.
+        path = tmp_path / "fast.json"
+        eye = identity_spec(4)
+        save_system(circulant_document(CirculantSpec([-1e8, 0.0, 0.0, 0.0]), eye, eye, eye), path)
+        status, text = run_cli(["check", "thm2", "--system", str(path)])
+        assert status == 0
+        assert "uniform gain found: true\nscalar gain c: 5.0000000000000001e-09\n" in text
+        assert "K:\n  5.0000000000000001e-09 0 0 0\n" in text
 
     def test_thm2_on_non_symmetric_ring(self, tmp_path):
         path = tmp_path / "ring.json"

@@ -121,12 +121,10 @@ class TestOracleCheck:
         assert not report.oracle_decentralized
         assert report.offdiag_mass > 1e-3
 
-    def test_rectangular_needs_explicit_neighborhoods(self):
+    def test_rectangular_is_refused(self):
         prob = LqrProblem(A=np.diag([-1.0, -2.0]), B=[[1.0], [0.5]], Q=np.eye(2), R=[[1.0]])
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="need one input per state"):
             oracle_check(prob)
-        report = oracle_check(prob, neighborhoods=[{0, 1}])
-        assert report.oracle_decentralized
 
 
 class TestDiagonalCostConditions:
@@ -218,7 +216,7 @@ class TestDiagonalCostFamily:
 
     def test_from_problem_reads_the_family_back(self):
         prob = worked_system().lqr_problem()
-        sys2 = DiagonalCost2x2.from_problem(prob.A, prob.B, prob.Q, prob.R)
+        sys2 = DiagonalCost2x2.from_problem(prob)
         assert (sys2.a0, sys2.a1, sys2.a_minus1, sys2.a2, sys2.q0, sys2.q2) == (
             1.0, 2.0, -3.0, 4.0, 3.0, 8.0
         )
@@ -230,7 +228,7 @@ class TestDiagonalCostFamily:
         [
             ({"A": -np.eye(3), "B": np.eye(3), "Q": np.eye(3), "R": np.eye(3)},
              "needs a 2x2 dense system"),
-            ({"B": [[1.0], [0.0]]}, "needs a 2x2 dense system"),
+            ({"B": [[1.0], [0.0]], "R": [[1.0]]}, "needs a 2x2 dense system"),
             ({"B": 2.0 * np.eye(2)}, "needs B = I"),
             # ||B|| squared overflows: against an infinite scale, B would pass for I.
             ({"B": np.diag([1e200, 1.0])}, "needs B = I"),
@@ -247,7 +245,7 @@ class TestDiagonalCostFamily:
         data = {"A": [[1.0, 2.0], [-3.0, 4.0]], "B": np.eye(2),
                 "Q": np.diag([3.0, 8.0]), "R": np.eye(2), **change}
         with pytest.raises(InputError, match=message):
-            DiagonalCost2x2.from_problem(data["A"], data["B"], data["Q"], data["R"])
+            DiagonalCost2x2.from_problem(LqrProblem(**data))
 
 
 class TestSynthesizeDiagonalCost:
@@ -331,6 +329,17 @@ class TestDiagonalRiccatiRoots:
         with pytest.raises(InputError, match="conditions do not hold"):
             diagonal_riccati_roots(sys2)
 
+    def test_strongly_stable_sites_do_not_cancel(self):
+        # a2/gamma2 + sqrt((a2/gamma2)^2 + q2/gamma2) rounds to 0 at a2 = -1e8;
+        # the root is 1/(1e8 + sqrt(1e16 + 1)) = 5e-9.
+        sys2 = DiagonalCost2x2(-1e8, 1.0, -1.0, -1e8, 1.0, 1.0, 1.0, 1.0)
+        assert diagonal_cost_conditions(sys2)[0]
+        p0, p2 = diagonal_riccati_roots(sys2)
+        assert p0 == pytest.approx(5e-9, rel=1e-15) and p2 == pytest.approx(5e-9, rel=1e-15)
+        report = oracle_check(sys2.lqr_problem())
+        assert report.oracle_decentralized
+        assert np.diag(report.K) == pytest.approx([p0, p2], rel=1e-12)
+
 
 class TestFindUniformGain:
     def test_ring_diffusion_with_derivative_penalty(self):
@@ -343,6 +352,25 @@ class TestFindUniformGain:
         a = CirculantSpec(-np.eye(n)[0])
         c = find_uniform_gain(a, identity_spec(n), identity_spec(n), identity_spec(n))
         assert c == pytest.approx(SQRT2 - 1.0, abs=1e-12)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        st.floats(-8.0, 8.0), st.sampled_from([-1.0, 1.0]), st.floats(-4.0, 4.0),
+        st.floats(-4.0, 4.0), st.floats(-4.0, 4.0),
+    )
+    def test_scalar_root_has_no_cancellation(self, log_a, sign, log_b, log_q, log_r):
+        # Identical sites: every frequency solves 2 a p - (b^2/r) p^2 + q = 0,
+        # and the gain is K = b p / r. The equation's residual must sit at
+        # rounding level relative to its terms, whatever the sign of a.
+        a, b, q, r = sign * 10.0 ** log_a, 10.0 ** log_b, 10.0 ** log_q, 10.0 ** log_r
+        specs = (CirculantSpec([x, 0.0, 0.0]) for x in (a, b, q, r))
+        gains = uniform_gain_candidates(*specs)
+        assert np.all(gains.imag == 0.0) and np.all(gains.real == gains.real[0])
+        p = gains.real[0] * r / b
+        g = b * b / r
+        assert p > 0
+        terms = (2.0 * a * p, -g * p * p, q)
+        assert abs(sum(terms)) <= 1e-14 * sum(map(abs, terms))
 
     def test_identity_cost_on_diffusion_has_no_uniform_gain(self):
         d2 = diffusion_operator(4)

@@ -540,6 +540,25 @@ class TestStackedPublicFunctions:
             matcore.require_spd([[1e200, 1e200], [0.0, 1e200]], "Q")
         assert np.array_equal(matcore.require_spd(1e200 * np.eye(2), "Q"), 1e200 * np.eye(2))
 
+    def test_symmetry_beyond_the_float_range(self):
+        # ||M||_F overflows even after rescaling, and so does M - M' for the
+        # first item: against an infinite scale every item passed, with an
+        # overflow warning.
+        big = 1e308
+        M = np.array([
+            [[big, big], [-big, big]],
+            [[big, big], [big, big]],
+            [[big, big], [big * (1.0 + 1e-9), big]],
+            [[big, big], [big * (1.0 + 1e-11), big]],
+            [[0.0, big], [-big, 0.0]],  # finite ||M||_F, M - M' overflows
+            np.eye(2),
+        ])
+        verdicts = [False, True, False, True, False, True]
+        assert list(matcore.is_symmetric(M)) == verdicts
+        assert [matcore.is_symmetric(X) for X in M] == verdicts
+        with pytest.raises(InputError, match="Q must be symmetric"):
+            matcore.require_spd(M[0], "Q")
+
 
 def test_frobenius_norm_survives_overflow():
     X = np.array([[[3e200, 4e200], [0.0, 0.0]], np.zeros((2, 2)), [[np.inf, 0.0], [0.0, 1.0]],

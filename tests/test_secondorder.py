@@ -3,9 +3,10 @@ import pytest
 
 from declqr import (
     CirculantSpec,
+    NonconvergentError,
     SecondOrderSystem,
     SolverError,
-    augment,
+    UnstabilizableError,
     check_second_order_decentral,
     circulant_eigenvalues,
     circulant_materialize,
@@ -16,7 +17,7 @@ from declqr import (
     reduce_and_solve,
     solve_care,
 )
-from declqr import matcore
+from declqr import matcore, secondorder
 from declqr.decentral import DiagonalCost2x2
 from declqr.lqr import LqrProblem, solve_lqr
 from declqr.models import diffusion_operator
@@ -42,14 +43,14 @@ class TestAugment:
         sys2 = SecondOrderSystem(
             A1=[[-1.0]], A2=[[-1.0]], B0=[[1.0]], Q0=[[1.0]], Q2=[[1.0]], R0=[[1.0]]
         )
-        prob = augment(sys2)
+        prob = LqrProblem(*secondorder._augmented(sys2))
         assert np.array_equal(prob.A, [[0.0, 1.0], [-1.0, -1.0]])
         assert np.array_equal(prob.B, [[0.0], [1.0]])
         assert np.array_equal(prob.Q, np.eye(2))
 
     def test_diffusion_shapes(self):
         sys2, _ = diffusion_second_order(4)
-        prob = augment(sys2)
+        prob = LqrProblem(*secondorder._augmented(sys2))
         assert prob.A.shape == (8, 8)
         assert prob.B.shape == (8, 4)
         assert prob.Q.shape == (8, 8)
@@ -59,7 +60,7 @@ class TestAugment:
         sys2 = SecondOrderSystem(
             A1=-np.eye(2), A2=-np.eye(2), B0=np.eye(2), Q0=np.eye(2), Q2=np.eye(2), R0=np.eye(2)
         )
-        prob = augment(sys2)
+        prob = LqrProblem(*secondorder._augmented(sys2))
         assert np.array_equal(prob.A[:2, 2:], np.eye(2))
         assert np.array_equal(prob.A[2:, :2], -np.eye(2))
         assert np.array_equal(prob.A[:2, :2], np.zeros((2, 2)))
@@ -264,7 +265,7 @@ class TestGeneralInstances:
         assert seen_asymmetric
 
     def test_stage_labels_on_failure(self):
-        with pytest.raises(SolverError, match="stage-P1"):
+        with pytest.raises(UnstabilizableError, match="^stage-P1: unstabilizable"):
             reduce_and_solve(
                 SecondOrderSystem(
                     A1=np.eye(2), A2=-np.eye(2), B0=np.diag([1.0, 0.0]),
@@ -278,6 +279,16 @@ class TestGeneralInstances:
                     Q0=np.eye(2), Q2=np.eye(2), R0=np.eye(2),
                 )
             )
+
+    def test_stage_errors_keep_their_class_and_residual(self, monkeypatch):
+        def nonconvergent(*blocks):
+            raise NonconvergentError("nonconvergent: residual 1e-03", residual=1e-3)
+
+        monkeypatch.setattr(secondorder, "_solve", nonconvergent)
+        eye = np.eye(2)
+        with pytest.raises(NonconvergentError, match="^stage-P1: nonconvergent") as excinfo:
+            reduce_and_solve(SecondOrderSystem(A1=-eye, A2=-eye, B0=eye, Q0=eye, Q2=eye, R0=eye))
+        assert excinfo.value.residual == 1e-3
 
 
 class TestValidatesOnce:
@@ -313,7 +324,7 @@ class TestValidatesOnce:
         sol = reduce_and_solve(sys2)
         care1 = solve_care(sys2.A1, sys2.B0, sys2.Q0, sys2.R0)
         care2 = solve_care(sys2.A2, sys2.B0, sol.Qbar, sys2.R0)
-        full = solve_lqr(augment(sys2))
+        full = solve_lqr(LqrProblem(*secondorder._augmented(sys2)))
         for got, want in ((sol.P1, care1.P), (sol.gain_pos, care1.K), (sol.P2, care2.P),
                           (sol.gain_vel, care2.K), (sol.full_P, full.P), (sol.full_gain, full.K)):
             assert np.array_equal(got, want)
