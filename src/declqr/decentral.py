@@ -273,9 +273,17 @@ def synthesize_diagonal_cost(a0, a1, a_minus1, a2, q2=1.0, gamma2=1.0):
 def _riccati_root(a, g, q):
     """Positive root p of 2 a p - g p^2 + q = 0 (g, q > 0), elementwise and
     free of cancellation: t/g for a > 0, else q/t, t = |a| + sqrt(a^2 + g q)
-    (Higham 2002, Accuracy and Stability of Numerical Algorithms, 1.8)."""
-    t = np.abs(a) + np.sqrt(a * a + g * q)
-    return np.where(a > 0, t / g, q / t)
+    (Higham 2002, Accuracy and Stability of Numerical Algorithms, 1.8). Where
+    a^2 + g q overflows (|a| above about 1.3e154), its root is taken as
+    hypot(a, sqrt(g) sqrt(q)); every other root is the direct formula's. A
+    t beyond the float range is inf, silently, so its root is inf or 0."""
+    with np.errstate(over="ignore"):
+        s = np.sqrt(a * a + g * q)
+        big = np.isinf(s)
+        if np.count_nonzero(big):
+            s = np.where(big, np.hypot(a, np.sqrt(g) * np.sqrt(q)), s)
+        t = np.abs(a) + s
+        return np.where(a > 0, t / g, q / t)
 
 
 def diagonal_riccati_roots(sys):

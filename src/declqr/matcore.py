@@ -18,10 +18,11 @@ and errors; solve_care is its N = 1 case. Given a stack, solve_lyapunov and
 require_spd return (result, errors) and is_hurwitz a bool array; given one
 matrix, they return its result or raise. solve_care_stack validates through
 require_spd and hands the checked data to _solve_care_validated, which a
-caller holding already validated blocks enters directly. That solver polishes
-through solve_lyapunov and certifies the final closed loop by a Lyapunov
-inequality, calling is_hurwitz only where that fails. A healthy solve runs the
-kernel twice: on the Hamiltonian and on one Lyapunov stack.
+caller holding already validated blocks enters directly. That solver accepts
+a read-off that already passes its final tests, polishes any other through
+solve_lyapunov, and certifies the final closed loop by a Lyapunov inequality,
+calling is_hurwitz only where that fails. A healthy solve runs the kernel
+once, on the Hamiltonian.
 """
 
 import math
@@ -51,10 +52,11 @@ CARE_MAX_ITER = 200
 # number is singular.
 RESONANCE_COND_LIMIT = 1e14
 # A residual within this many machine epsilons of the Riccati expression's own
-# scale is the attainable floor: exceeding the acceptance tolerance there
-# means the pair is too ill-conditioned for 64-bit arithmetic, not that the
-# iteration failed. Healthy solves land within ~10 eps of scale; genuine
-# accuracy bugs land orders of magnitude above this factor.
+# scale (_residual_scale) is the attainable floor: a read-off there needs no
+# Kleinman step, and exceeding the acceptance tolerance there means the pair
+# is too ill-conditioned for 64-bit arithmetic, not that the iteration failed.
+# Healthy read-offs land within ~10 eps of scale; genuine accuracy bugs land
+# orders of magnitude above this factor.
 RESIDUAL_FLOOR_FACTOR = 1e4
 
 
@@ -598,10 +600,32 @@ def _lstsq(M, b):
     return _t(Vt) @ (w[..., None] * (_t(U) @ b))
 
 
-def _unstabilizable(exc):
+def _record(errors, live, item_errors, wrap=lambda exc: exc):
+    """Record item_errors[j], through wrap, as the error of item live[j]; the
+    mask of the items still going, None when all are."""
+    if not any(item_errors):
+        return None
+    for i, exc in zip(live, item_errors):
+        if exc is not None:
+            errors[i] = wrap(exc)
+    return np.array([exc is None for exc in item_errors], dtype=bool)
+
+
+def _care_error(exc):
+    """A sign or Lyapunov failure as a Riccati error: bad data or an
+    imaginary-axis eigenvalue there means an unstabilizable pair."""
+    if not isinstance(exc, (InputError, ResonantSpectrumError)):
+        return exc
     error = UnstabilizableError("unstabilizable or ill-conditioned pair: no stabilizing solution")
     error.__cause__ = exc
     return error
+
+
+def _residual_scale(A, B, Q, P, K, quad):
+    """The scale of the Riccati expression at P, per item: its attainable
+    residual floor is RESIDUAL_FLOOR_FACTOR * eps times this. It counts the
+    rounding in A'P + PA, in the quadratic term and inside PB, and in Q."""
+    return 2.0 * _fro(_t(A) @ P) + _fro(quad) + _fro(Q) + _fro(P) * _fro(B) * _fro(K)
 
 
 def solve_care_stack(A, B, Q, R):
@@ -611,12 +635,15 @@ def solve_care_stack(A, B, Q, R):
 
     With G = B R^{-1} B', the sign W of the balanced Hamiltonian [[A, -rho G],
     [-Q / rho, -A']] negates its stable subspace [I; P / rho], read off (W + I)
-    by least squares. Newton (Kleinman) steps P += dP polish P, where
-    (A - BK)' dP + dP (A - BK) + D(P) = 0 for the defect D(P): one for every
-    item, whose Lyapunov solve certifies the read-off closed loop, and more
-    for an item still above tolerance while its residual falls. The final
-    closed loop is certified by Lyapunov's inequality with P
-    (_closed_loop_hurwitz), which falls back to is_hurwitz.
+    by least squares. An item whose read-off P passes every final test (the
+    residual within tolerance and within the attainable floor, P positive
+    definite, and the closed loop A - BK certified Hurwitz) is accepted as it
+    is. Every other item is polished by Newton (Kleinman) steps P += dP, where
+    (A - BK)' dP + dP (A - BK) + D(P) = 0 for the defect D(P): one step, whose
+    Lyapunov solve certifies the read-off closed loop, and more while its
+    residual is above tolerance and falls. The closed loop is certified by
+    Lyapunov's inequality with P (_closed_loop_hurwitz), which falls back to
+    is_hurwitz.
 
     An item's error is InputError for bad data; UnstabilizableError when the
     Hamiltonian or a closed loop has an imaginary-axis eigenvalue, the
@@ -638,36 +665,22 @@ def _solve_care_validated(A, B, Q, R, errors):
     data from validated blocks (secondorder.reduce_and_solve) enters here, so
     the blocks are not validated a second time.
 
-    As in _sign, floating-point errors do not warn: one item's overflow must
-    not stop the others, and every item is judged on its finite results. An
-    item whose G = B R^{-1} B' is not finite fails as UnstabilizableError."""
+    A healthy item runs the sign kernel once, on its Hamiltonian: its read-off
+    is at the floor, where a Kleinman step only moves the rounding. The other
+    items take _kleinman_steps. As in _sign, floating-point errors do not
+    warn: one item's overflow must not stop the others, and every item is
+    judged on its finite results. An item whose G = B R^{-1} B' is not finite
+    fails as UnstabilizableError."""
     N, n, m = B.shape
     iterations = np.zeros(N, dtype=int)
     live = np.arange(N)
-
-    def book(item_errors, wrap=lambda exc: exc):
-        """Record the live items' errors; the mask of the items still going,
-        None when all are."""
-        if not any(item_errors):
-            return None
-        for i, exc in zip(live, item_errors):
-            if exc is not None:
-                errors[i] = wrap(exc)
-        return np.array([exc is None for exc in item_errors], dtype=bool)
-
-    def certify(ok, message):
-        return book([None if x else SolverError(message) for x in ok])
-
-    def as_care_error(exc):
-        return _unstabilizable(exc) if isinstance(exc, (InputError, ResonantSpectrumError)) else exc
-
-    live, A, B, Q, R = _compact(book(errors), live, A, B, Q, R)
+    live, A, B, Q, R = _compact(_record(errors, live, errors), live, A, B, Q, R)
     G = B @ np.linalg.solve(R, _t(B))
     finite = np.logical_and.reduce(np.isfinite(G), axis=(1, 2))
     overflow = (
         "unstabilizable or ill-conditioned pair: G = B R^-1 B' is not finite in 64-bit floats"
     )
-    keep = book([None if ok else UnstabilizableError(overflow) for ok in finite])
+    keep = _record(errors, live, [None if ok else UnstabilizableError(overflow) for ok in finite])
     live, A, B, Q, R, G = _compact(keep, live, A, B, Q, R, G)
     g = _norm1(G)
     rho = np.sqrt(np.divide(_norm1(Q), g, out=np.ones_like(g), where=g > 0))[:, None, None]
@@ -675,20 +688,61 @@ def _solve_care_validated(A, B, Q, R, errors):
     H[:, :n, :n], H[:, :n, n:] = A, -rho * G
     H[:, n:, :n], H[:, n:, n:] = -Q / rho, -_t(A)
     W, _, iterations[live], sign_errors = _sign(H)
-    keep = book(sign_errors, as_care_error)
+    keep = _record(errors, live, sign_errors, _care_error)
     live, A, B, Q, R, rho, W = _compact(keep, live, A, B, Q, R, rho, W)
     W += np.eye(2 * n)  # (W + I) [I; P / rho] = 0
     P = rho * _lstsq(W[:, :, n:], -W[:, :, :n])
     P = (P + _t(P)) / 2.0
     K, quad, defect = _care_defect(A, B, Q, R, P)
+    residual = _fro(defect)
+    tol = CARE_RESIDUAL_TOL * np.maximum(1.0, _fro(Q))
+
+    # The read-off is accepted where it passes the final tests of
+    # _kleinman_steps, and within the floor. The tests run on the survivors
+    # of the one before, the certificate last.
+    ok = (residual <= tol) & (
+        residual <= RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps * _residual_scale(A, B, Q, P, K, quad)
+    )
+    if np.count_nonzero(ok):
+        ok[ok] = is_positive_definite(*_compact(ok, P))
+    if np.count_nonzero(ok):
+        ok[ok] = _closed_loop_hurwitz(*_compact(ok, A, B, Q, P, K, quad, defect))
+    stepped = ~ok
+    if np.count_nonzero(stepped):
+        accepted = _compact(ok, live, P, K, residual)
+        polished = _kleinman_steps(
+            errors, iterations, *_compact(stepped, live, A, B, Q, R, P, K, defect, tol)
+        )
+        live, P, K, residual = (np.concatenate(pair) for pair in zip(accepted, polished))
+    # The concatenation leaves live out of order.
+    if len(live) < N or np.count_nonzero(stepped):
+        P, K, residual = (_scatter(X, live, N) for X in (P, K, residual))
+    return CareStack(P=P, K=K, residual=residual, iterations=iterations, errors=errors)
+
+
+def _kleinman_steps(errors, iterations, live, A, B, Q, R, P, K, defect, tol):
+    """(live, P, K, residual) of the items of live that pass the final tests
+    after Kleinman steps from their read-off P, where K and defect are the
+    gain and the Riccati defect D(P) at P and tol is each item's residual
+    tolerance; the other items' errors go to errors.
+
+    Every item takes one step, whose Lyapunov solve certifies the read-off
+    closed loop; an item still above tolerance takes further steps while its
+    residual falls. An item left above tolerance is floor-limited
+    (UnstabilizableError) or NonconvergentError; then P must be positive
+    definite and A - BK pass _closed_loop_hurwitz.
+    """
+
+    def certify(ok, message):
+        return _record(errors, live, [None if x else SolverError(message) for x in ok])
+
     dP, lyap_errors = solve_lyapunov(A - B @ K, (defect + _t(defect)) / 2.0)
-    keep = book(lyap_errors, as_care_error)
-    live, A, B, Q, R, P, dP = _compact(keep, live, A, B, Q, R, P, dP)
+    keep = _record(errors, live, lyap_errors, _care_error)
+    live, A, B, Q, R, P, dP, tol = _compact(keep, live, A, B, Q, R, P, dP, tol)
     P = P + dP
     K, quad, defect = _care_defect(A, B, Q, R, P)
 
     residual = _fro(defect)
-    tol = CARE_RESIDUAL_TOL * np.maximum(1.0, _fro(Q))
     # Items still above tolerance take further steps while their residual falls.
     todo = np.flatnonzero(residual > tol)
     for _ in range(CARE_MAX_ITER):
@@ -709,9 +763,7 @@ def _solve_care_validated(A, B, Q, R, errors):
 
     over = residual > tol
     if np.count_nonzero(over):
-        # The attainable floor: rounding in A'P + PA, in the quadratic term and
-        # inside PB, and in Q.
-        scale = 2.0 * _fro(_t(A) @ P) + _fro(quad) + _fro(Q) + _fro(P) * _fro(B) * _fro(K)
+        scale = _residual_scale(A, B, Q, P, K, quad)
         floor = residual <= RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps * scale
         for j in np.flatnonzero(over):
             if floor[j]:
@@ -737,10 +789,7 @@ def _solve_care_validated(A, B, Q, R, errors):
     keep = certify(
         _closed_loop_hurwitz(A, B, Q, P, K, quad, defect), "closed loop failed the Hurwitz certificate"
     )
-    live, P, K, residual = _compact(keep, live, P, K, residual)
-    if len(live) < N:
-        P, K, residual = (_scatter(X, live, N) for X in (P, K, residual))
-    return CareStack(P=P, K=K, residual=residual, iterations=iterations, errors=errors)
+    return _compact(keep, live, P, K, residual)
 
 
 def solve_care(A, B, Q, R):

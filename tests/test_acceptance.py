@@ -57,7 +57,7 @@ def test_criterion_01_worked_two_by_two_instance():
     elapsed = time.perf_counter() - t0
     p_err = np.max(np.abs(res.P - np.diag([3.0, 2.0])))
     k_err = np.max(np.abs(res.K - np.diag([3.0, 12.0])))
-    ok = p_err < 1e-8 and k_err < 1e-8 and res.residual <= 1e-10 and elapsed < 0.010
+    ok = p_err < 1e-8 and k_err < 1e-8 and res.residual <= 1e-10 and elapsed < 0.005
     assert report(
         1,
         ok,
@@ -108,7 +108,7 @@ def test_criterion_04_randomized_sign_condition_soundness():
         if not rep.oracle_decentralized or rep.offdiag_mass > 1e-6:
             failures += 1
     elapsed = time.perf_counter() - t0
-    ok = failures == 0 and elapsed < 1.0
+    ok = failures == 0 and elapsed < 0.5
     assert report(
         4, ok, f"200 draws, {failures} failures, worst mass {worst:.1e}, {elapsed:.2f} s"
     )
@@ -213,7 +213,7 @@ def test_criterion_09_sweep_properties():
     curve_h2 = [s.h2 for s in qa.curve]
     variation = (max(curve_h2) - min(curve_h2)) / min(curve_h2)
     elapsed = time.perf_counter() - t0
-    ok = center.decentralized and interior and curve_ok and variation > 0.10 and elapsed < 1.0
+    ok = center.decentralized and interior and curve_ok and variation > 0.10 and elapsed < 0.1
     assert report(
         9,
         ok,
@@ -298,7 +298,7 @@ def test_criterion_12_ten_thousand_point_sweep():
     elapsed = time.perf_counter() - t0
     center = min(result.records, key=lambda rec: abs(rec.axis1 - 1.0) + abs(rec.axis2 - 1.0))
     solved = sum(rec.status == "ok" for rec in result.records)
-    ok = len(result.records) == 10_000 and solved == 10_000 and center.decentralized and elapsed < 1.0
+    ok = len(result.records) == 10_000 and solved == 10_000 and center.decentralized and elapsed < 0.5
     assert report(
         12,
         ok,

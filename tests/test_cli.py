@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -144,7 +145,9 @@ class TestCheck:
         assert "analytic holds: true" in text
         assert "oracle decentralized: true" in text
         assert "condition opposite_offdiag_signs: true" in text
-        assert "3 " in text and "12" in text  # K = diag(3, 12)
+        rows = text.split("K:\n")[1].splitlines()[:2]
+        K = np.array([[float(x) for x in row.split()] for row in rows])
+        assert np.max(np.abs(K - np.diag([3.0, 12.0]))) <= 1e-12 * 12.0
 
     def test_thm1_rejects_coupled_cost(self, tmp_path):
         path = tmp_path / "coupled.json"
@@ -330,6 +333,28 @@ class TestCheck:
         assert status == 0
         assert "uniform gain found: true\nscalar gain c: 5.0000000000000001e-09\n" in text
         assert "K:\n  5.0000000000000001e-09 0 0 0\n" in text
+
+    @pytest.mark.parametrize("a", [-1e200, 1e200])
+    def test_thm2_on_a_ring_beyond_the_square_range(self, tmp_path, a):
+        # a^2 overflows above about 1.3e154; the gain is 1/(2|a|) for a < 0
+        # and 2a for a > 0, to within 1/a^2, printed without a warning.
+        path = tmp_path / "huge.json"
+        eye = identity_spec(4)
+        save_system(circulant_document(CirculantSpec([a, 0.0, 0.0, 0.0]), eye, eye, eye), path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status, text = run_cli(["check", "thm2", "--system", str(path)])
+        assert "uniform gain found: true\n" in text
+        c = float(text.split("scalar gain c: ")[1].split("\n")[0])
+        if a < 0:
+            assert c == pytest.approx(5e-201, rel=1e-15)
+            assert status == 0 and "oracle decentralized: true" in text
+            K = np.array([[float(x) for x in row.split()] for row in text.split("K:\n")[1].splitlines()])
+            assert np.all(np.abs(K - c * np.eye(4)) <= 1e-6 * c)
+        else:
+            # The oracle's P^2 term, about 4e400, is beyond the float range.
+            assert c == pytest.approx(2e200, rel=1e-15)
+            assert status == 2
 
     def test_thm2_on_non_symmetric_ring(self, tmp_path):
         path = tmp_path / "ring.json"

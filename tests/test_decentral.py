@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -339,6 +341,33 @@ class TestDiagonalRiccatiRoots:
         report = oracle_check(sys2.lqr_problem())
         assert report.oracle_decentralized
         assert np.diag(report.K) == pytest.approx([p0, p2], rel=1e-12)
+
+    @pytest.mark.parametrize("a, root", [(-1e200, 5e-201), (1e200, 2e200)])
+    def test_sites_beyond_the_square_range(self, a, root):
+        # a^2 overflows above about 1.3e154; the root is 1/(2|a|) for a < 0
+        # and 2a for a > 0, to within 1/a^2.
+        sys2 = DiagonalCost2x2(a, 1.0, -1.0, a, 1.0, 1.0, 1.0, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p0, p2 = diagonal_riccati_roots(sys2)
+        assert p0 == pytest.approx(root, rel=1e-15) and p2 == pytest.approx(root, rel=1e-15)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(
+    a=st.lists(st.floats(-1e150, 1e150), min_size=1, max_size=6),
+    g=st.floats(1e-100, 1e100),
+    q=st.floats(1e-100, 1e100),
+)
+def test_riccati_roots_below_the_square_range_are_the_direct_formula(a, g, q):
+    # Bitwise t/g or q/t with t = |a| + sqrt(a^2 + g q), also beside a site
+    # whose a^2 overflows.
+    a = np.array(a)
+    t = np.abs(a) + np.sqrt(a * a + g * q)
+    direct = np.where(a > 0, t / g, q / t)
+    assert np.array_equal(decentral._riccati_root(a, g, q), direct)
+    with_huge = decentral._riccati_root(np.append(a, -1e200), g, q)
+    assert np.array_equal(with_huge[:-1], direct)
 
 
 class TestFindUniformGain:

@@ -374,14 +374,14 @@ def test_unscaled_newton_step_is_bitwise_the_step_at_c_one():
 
 
 class TestSignCallsPerSolve:
-    # A healthy solve runs the sign kernel twice: on the Hamiltonian, and in
-    # the one Kleinman step's Lyapunov stack. The closed loop is certified by
-    # a Lyapunov inequality, without is_hurwitz.
+    # A healthy solve runs the sign kernel once, on the Hamiltonian: its
+    # read-off passes the final tests and takes no Kleinman step. The closed
+    # loop is certified by a Lyapunov inequality, without is_hurwitz.
     def test_healthy_solve(self, monkeypatch):
         signs, hurwitz = _counting(monkeypatch, "_sign"), _counting(monkeypatch, "is_hurwitz")
         res = solve_care([[1.0, 1.0], [-1.0, 1.0]], np.eye(2), np.eye(2), np.eye(2))
         assert np.allclose(res.K, (1.0 + SQRT2) * np.eye(2), atol=1e-12)
-        assert (len(signs), len(hurwitz)) == (2, 0)
+        assert (len(signs), len(hurwitz)) == (1, 0)
 
     def test_sweep_stack(self, monkeypatch):
         q_ratio, g_ratio = (
@@ -391,7 +391,69 @@ class TestSignCallsPerSolve:
         signs, hurwitz = _counting(monkeypatch, "_sign"), _counting(monkeypatch, "is_hurwitz")
         sol = solve_care_stack(*stacks)
         assert len(sol.errors) == 63 and not any(sol.errors)
-        assert (len(signs), len(hurwitz)) == (2, 0)
+        assert (len(signs), len(hurwitz)) == (1, 0)
+
+
+def _large_input_draw():
+    """The 31st draw of random_stabilizable_dense (seed 31), B scaled by 1e6:
+    its read-off is far above tolerance, and it reaches tolerance only by
+    Kleinman steps beyond the first."""
+    rng = np.random.default_rng(31)
+    for _ in range(31):
+        A, B, Q, R = random_stabilizable_dense(rng)
+    return A, 1e6 * B, Q, R
+
+
+class TestReadOffAcceptance:
+    def test_mixed_stack_matches_one_by_one(self, monkeypatch):
+        A, B, Q, R = _large_input_draw()
+        n, m = B.shape
+        healthy = _same_size_instances(np.random.default_rng(17), 4, n, m)
+        # The unstable modes 2..n get no input.
+        B_first = np.zeros((n, m))
+        B_first[0, 0] = 1.0
+        unstabilizable = np.eye(n), B_first, np.eye(n), np.eye(m)
+        items = [tuple(X[i] for X in healthy) for i in range(2)] + [(A, B, Q, R), unstabilizable]
+        items += [tuple(X[i] for X in healthy) for i in range(2, 4)]
+        expected = [None, None, None, UnstabilizableError, None, None]
+        lyapunov = _counting(monkeypatch, "solve_lyapunov")
+        out = solve_care_stack(*(np.array(X) for X in zip(*items)))
+        assert len(lyapunov) > 2  # the large-input item still steps inside the stack
+        for i, (item, kind) in enumerate(zip(items, expected)):
+            del lyapunov[:]
+            alone = solve_care_stack(*(np.array(X)[None] for X in item))
+            assert type(out.errors[i]) is type(alone.errors[0])
+            assert out.errors[i] is None if kind is None else type(out.errors[i]) is kind
+            if kind is None and i != 2:
+                assert not lyapunov  # a healthy item is accepted at the read-off
+            for got, want in ((out.P, alone.P), (out.K, alone.K), (out.residual, alone.residual)):
+                assert np.array_equal(got[i], want[0], equal_nan=True)
+            assert out.iterations[i] == alone.iterations[0]
+
+    def test_refused_certificate_takes_the_kleinman_path(self, monkeypatch):
+        # A read-off within tolerance and the floor that the closed-loop
+        # certificate refuses takes the Kleinman step and ends where that path
+        # ends: a zero floor factor sends the same read-off down the same path.
+        item = [[1.0, 1.0], [-1.0, 1.0]], np.eye(2), np.eye(2), np.eye(2)
+        accepted = solve_care(*item)
+        with monkeypatch.context() as patch:
+            patch.setattr(matcore, "RESIDUAL_FLOOR_FACTOR", 0.0)
+            stepped = solve_care(*item)
+        certify, refused = matcore._closed_loop_hurwitz, []
+
+        def refuse_once(*args):
+            if not refused:
+                refused.append(1)
+                return np.zeros(len(args[0]), dtype=bool)
+            return certify(*args)
+
+        monkeypatch.setattr(matcore, "_closed_loop_hurwitz", refuse_once)
+        lyapunov = _counting(monkeypatch, "solve_lyapunov")
+        res = solve_care(*item)
+        assert refused and len(lyapunov) == 1
+        assert np.array_equal(res.P, stepped.P) and np.array_equal(res.K, stepped.K)
+        assert res.residual == stepped.residual
+        assert not np.array_equal(res.P, accepted.P)
 
 
 class TestClosedLoopCertificate:
