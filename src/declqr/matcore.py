@@ -18,11 +18,13 @@ and errors; solve_care is its N = 1 case. Given a stack, solve_lyapunov and
 require_spd return (result, errors) and is_hurwitz a bool array; given one
 matrix, they return its result or raise. solve_care_stack validates through
 require_spd and hands the checked data to _solve_care_validated, which a
-caller holding already validated blocks enters directly. That solver accepts
-a read-off that already passes its final tests, polishes any other through
-solve_lyapunov, and certifies the final closed loop by a Lyapunov inequality,
-calling is_hurwitz only where that fails. A healthy solve runs the kernel
-once, on the Hamiltonian.
+caller holding already validated blocks (secondorder.reduce_and_solve) or
+stacks with diagonal weights (the sweep, checked by _diagonal_weight_errors)
+enters directly. That solver accepts a read-off that already passes its final
+tests, polishes any other through solve_lyapunov, and certifies the final
+closed loop by a Lyapunov inequality, calling is_hurwitz only where that
+fails. A healthy solve runs the kernel once, on the Hamiltonian, and takes
+each of the eight Frobenius norms its tests share once (_fro_norms).
 """
 
 import math
@@ -283,12 +285,39 @@ def _validate_stack(A, B, Q, R):
     return A, B, Q, R, errors
 
 
+def _diagonal_weight_errors(A, B, Q, R):
+    """_validate_stack's errors for float stacks of fitting shapes whose Q and
+    R are diagonal, in one pass: require_spd passes a diagonal matrix iff its
+    diagonal is finite and positive, so that is all it needs to judge."""
+    errors = [None] * len(A)
+    for X, name in ((A, "A"), (B, "B"), (Q, "Q"), (R, "R")):
+        finite = np.logical_and.reduce(np.isfinite(X), axis=(1, 2))
+        _book(errors, finite, f"{name} contains NaN or Inf entries")
+        if name in ("Q", "R"):
+            positive = np.logical_and.reduce(np.diagonal(X, axis1=1, axis2=2) > 0, axis=1)
+            _book(errors, positive, f"{name} must be positive definite")
+    return errors
+
+
 def _newton_mean(X, Y, c3):
     """(cX + Y / c) / 2 with c3 the per-item scales c as (N, 1, 1); c3 = None
     stands for c = 1, where the product and quotient are exact and skipped."""
     if c3 is None:
         return (X + Y) / 2.0
     return (c3 * X + Y / c3) / 2.0
+
+
+def _carried_mean(F, Zi, c3):
+    """The carried block's step, (cF + Zi F Zi' / c) / 2. Zi is of the order
+    of c, so Zi F Zi' alone under- or overflows where c is far from 1; it is
+    formed from 2^s Zi, 2^s near c^(-1/2), and divided by c 4^s instead. The
+    powers of two are exact, so wherever nothing leaves the float range the
+    block is bitwise the unscaled product's."""
+    if c3 is None:
+        return _newton_mean(F, Zi @ F @ _t(Zi), None)
+    s = -(np.frexp(c3)[1] // 2)
+    Zs = np.ldexp(Zi, s)
+    return (c3 * F + (Zs @ F @ _t(Zs)) / np.ldexp(c3, 2 * s)) / 2.0
 
 
 def _sign(Z, F=None):
@@ -359,7 +388,7 @@ def _sign(Z, F=None):
             done = step <= SIGN_STEP_TOL
             if F is not None:
                 m = len(F)
-                F_next = _newton_mean(F, Zi[:m] @ F @ _t(Zi[:m]), None if c3 is None else c3[:m])
+                F_next = _carried_mean(F, Zi[:m], None if c3 is None else c3[:m])
                 if np.count_nonzero(done[:m]):
                     dF = _norm1(F_next - F)
                     # F overflows only beside an eigenvalue within rounding of
@@ -547,10 +576,11 @@ def _care_defect(A, B, Q, R, P):
     return K, quad, _t(A) @ P + P @ A - quad + Q
 
 
-def _closed_loop_hurwitz(A, B, Q, P, K, quad, defect):
+def _closed_loop_hurwitz(A, B, Q, P, K, quad, defect, norms):
     """Per item, whether A_cl = A - BK is Hurwitz as is_hurwitz judges it:
-    A_cl + tI Hurwitz, t = ||A_cl||_1 / RESONANCE_COND_LIMIT. P is SPD and
-    (K, quad, defect) = _care_defect(A, B, Q, R, P).
+    A_cl + tI Hurwitz, t = ||A_cl||_1 / RESONANCE_COND_LIMIT. P is SPD,
+    (K, quad, defect) = _care_defect(A, B, Q, R, P) and norms is their
+    _fro_norms.
 
     The certificate is Lyapunov's inequality: with P > 0, M = -[(A_cl + tI)'P
     + P(A_cl + tI)] > 0 proves A_cl + tI Hurwitz (v*Mv = -2 Re(lambda) v*Pv
@@ -576,7 +606,8 @@ def _closed_loop_hurwitz(A, B, Q, P, K, quad, defect):
     t = _norm1(A_cl) / RESONANCE_COND_LIMIT
     M = Q + quad - defect
     M = (M + _t(M)) / 2.0 - 2.0 * t[:, None, None] * P
-    size = 2.0 * (_fro(A) + _fro(B) * _fro(K) + t) * _fro(P) + _fro(Q) + _fro(quad) + _fro(defect)
+    a, b, q, p, k, quad_n, _, defect_n = norms.T
+    size = 2.0 * (a + b * k + t) * p + q + quad_n + defect_n
     # A trace <= 0 fails the factorization anyway; clipping keeps delta >= 0.
     trace = np.maximum(np.trace(M, axis1=-2, axis2=-1), 0.0)
     delta = np.finfo(float).eps * ((n + 2 * m + 8) * size + (n + 1) * trace)
@@ -621,11 +652,31 @@ def _care_error(exc):
     return error
 
 
-def _residual_scale(A, B, Q, P, K, quad):
-    """The scale of the Riccati expression at P, per item: its attainable
-    residual floor is RESIDUAL_FLOOR_FACTOR * eps times this. It counts the
-    rounding in A'P + PA, in the quadratic term and inside PB, and in Q."""
-    return 2.0 * _fro(_t(A) @ P) + _fro(quad) + _fro(Q) + _fro(P) * _fro(B) * _fro(K)
+def _fro_norms(A, B, Q, P, K, quad, residual):
+    """(N, 8) array whose row i holds the _fro norms of item i of A, B, Q, P,
+    K, quad and A'P, then residual, the norm of its Riccati defect. The
+    residual tolerance, _residual_scale and _closed_loop_hurwitz read their
+    norms here, so a solve takes each once."""
+    return np.stack([*map(_fro, (A, B, Q, P, K, quad, _t(A) @ P)), residual], axis=-1)
+
+
+def _residual_scale(norms):
+    """The scale of the Riccati expression, per item of _fro_norms: its
+    attainable residual floor is RESIDUAL_FLOOR_FACTOR * eps times this. It
+    counts the rounding in A'P + PA, in the quadratic term and inside PB, and
+    in Q."""
+    _, b, q, p, k, quad, ap, _ = norms.T
+    return 2.0 * ap + quad + q + p * b * k
+
+
+def _fail_overflow(errors, live, finite, what):
+    """Give each item of live that the mask finite marks False an
+    UnstabilizableError saying that its `what` is not finite; the mask of the
+    items still going, None when all are."""
+    if np.count_nonzero(finite) == len(finite):
+        return None
+    error = f"unstabilizable or ill-conditioned pair: {what} is not finite in 64-bit floats"
+    return _record(errors, live, [None if ok else UnstabilizableError(error) for ok in finite])
 
 
 def solve_care_stack(A, B, Q, R):
@@ -663,24 +714,23 @@ def _solve_care_validated(A, B, Q, R, errors):
     judges them, and errors[i] None or item i's error, which stops it before
     the first step (the list is filled in place). A caller that assembled its
     data from validated blocks (secondorder.reduce_and_solve) enters here, so
-    the blocks are not validated a second time.
+    the blocks are not validated a second time; so does sweep.run_sweep, whose
+    diagonal weights _diagonal_weight_errors judges in one pass.
 
     A healthy item runs the sign kernel once, on its Hamiltonian: its read-off
     is at the floor, where a Kleinman step only moves the rounding. The other
     items take _kleinman_steps. As in _sign, floating-point errors do not
     warn: one item's overflow must not stop the others, and every item is
-    judged on its finite results. An item whose G = B R^{-1} B' is not finite
-    fails as UnstabilizableError."""
+    judged on its finite results. An item whose G = B R^{-1} B', or whose
+    read-off quadratic term P B R^{-1} B' P, is not finite fails as
+    UnstabilizableError, naming that term."""
     N, n, m = B.shape
     iterations = np.zeros(N, dtype=int)
     live = np.arange(N)
     live, A, B, Q, R = _compact(_record(errors, live, errors), live, A, B, Q, R)
     G = B @ np.linalg.solve(R, _t(B))
     finite = np.logical_and.reduce(np.isfinite(G), axis=(1, 2))
-    overflow = (
-        "unstabilizable or ill-conditioned pair: G = B R^-1 B' is not finite in 64-bit floats"
-    )
-    keep = _record(errors, live, [None if ok else UnstabilizableError(overflow) for ok in finite])
+    keep = _fail_overflow(errors, live, finite, "G = B R^-1 B'")
     live, A, B, Q, R, G = _compact(keep, live, A, B, Q, R, G)
     g = _norm1(G)
     rho = np.sqrt(np.divide(_norm1(Q), g, out=np.ones_like(g), where=g > 0))[:, None, None]
@@ -695,18 +745,25 @@ def _solve_care_validated(A, B, Q, R, errors):
     P = (P + _t(P)) / 2.0
     K, quad, defect = _care_defect(A, B, Q, R, P)
     residual = _fro(defect)
-    tol = CARE_RESIDUAL_TOL * np.maximum(1.0, _fro(Q))
+    norms = _fro_norms(A, B, Q, P, K, quad, residual)
+    # Column 5 is ||quad||: beyond the float range the defect, and every test
+    # on it, is void.
+    keep = _fail_overflow(errors, live, np.isfinite(norms[:, 5]), "P B R^-1 B' P")
+    live, A, B, Q, R, P, K, quad, defect, residual, norms = _compact(
+        keep, live, A, B, Q, R, P, K, quad, defect, residual, norms
+    )
+    tol = CARE_RESIDUAL_TOL * np.maximum(1.0, norms[:, 2])  # column 2 is ||Q||
 
     # The read-off is accepted where it passes the final tests of
     # _kleinman_steps, and within the floor. The tests run on the survivors
     # of the one before, the certificate last.
     ok = (residual <= tol) & (
-        residual <= RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps * _residual_scale(A, B, Q, P, K, quad)
+        residual <= RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps * _residual_scale(norms)
     )
     if np.count_nonzero(ok):
         ok[ok] = is_positive_definite(*_compact(ok, P))
     if np.count_nonzero(ok):
-        ok[ok] = _closed_loop_hurwitz(*_compact(ok, A, B, Q, P, K, quad, defect))
+        ok[ok] = _closed_loop_hurwitz(*_compact(ok, A, B, Q, P, K, quad, defect, norms))
     stepped = ~ok
     if np.count_nonzero(stepped):
         accepted = _compact(ok, live, P, K, residual)
@@ -761,9 +818,10 @@ def _kleinman_steps(errors, iterations, live, A, B, Q, R, P, K, defect, tol):
         defect[todo], residual[todo] = defect_try[fell], res_try[fell]
         todo = todo[residual[todo] > tol[todo]]
 
+    norms = _fro_norms(A, B, Q, P, K, quad, residual)
     over = residual > tol
     if np.count_nonzero(over):
-        scale = _residual_scale(A, B, Q, P, K, quad)
+        scale = _residual_scale(norms)
         floor = residual <= RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps * scale
         for j in np.flatnonzero(over):
             if floor[j]:
@@ -778,16 +836,17 @@ def _kleinman_steps(errors, iterations, live, A, B, Q, R, P, K, defect, tol):
                     f"{iterations[live[j]]} sign steps",
                     residual=float(residual[j]),
                 )
-        live, A, B, Q, P, K, quad, defect, residual = _compact(
-            ~over, live, A, B, Q, P, K, quad, defect, residual
+        live, A, B, Q, P, K, quad, defect, residual, norms = _compact(
+            ~over, live, A, B, Q, P, K, quad, defect, residual, norms
         )
 
     keep = certify(is_positive_definite(P), "Riccati solution failed the positive-definiteness check")
-    live, A, B, Q, P, K, quad, defect, residual = _compact(
-        keep, live, A, B, Q, P, K, quad, defect, residual
+    live, A, B, Q, P, K, quad, defect, residual, norms = _compact(
+        keep, live, A, B, Q, P, K, quad, defect, residual, norms
     )
     keep = certify(
-        _closed_loop_hurwitz(A, B, Q, P, K, quad, defect), "closed loop failed the Hurwitz certificate"
+        _closed_loop_hurwitz(A, B, Q, P, K, quad, defect, norms),
+        "closed loop failed the Hurwitz certificate",
     )
     return _compact(keep, live, P, K, residual)
 

@@ -4,11 +4,13 @@ sorted keys so identical inputs give identical bytes.
 
 _FLOAT is the one template for a printed or saved float. format_float renders
 one value; _format_rows renders rows of values, which cli matrices, the sweep
-CSV and float arrays in JSON go through."""
+CSV and float arrays in JSON go through. JSON keys and strings are quoted by
+json.encoder.encode_basestring_ascii, the function json.dumps applies to a
+str, so they are json.dumps's bytes."""
 
-import json
 import math
 from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 
 import numpy as np
 
@@ -43,9 +45,16 @@ def _format_rows(rows, sep):
 
 
 def _encode(value):
+    # Exact types first, in the order a sweep sidecar holds them most: floats,
+    # then strings, which json.dumps itself quotes with _quote.
+    kind = type(value)
+    if kind is float:
+        return format_float(value)
+    if kind is str:
+        return _quote(value)
     if isinstance(value, dict):
         items = sorted(value.items())
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {_encode(v)}" for k, v in items) + "}"
+        return "{" + ", ".join(f"{_quote(str(k))}: {_encode(v)}" for k, v in items) + "}"
     if isinstance(value, (list, tuple)):
         return "[" + ", ".join(_encode(v) for v in value) + "]"
     if isinstance(value, np.ndarray):
@@ -60,7 +69,7 @@ def _encode(value):
     if isinstance(value, (float, np.floating)):
         return format_float(value)
     if isinstance(value, str):
-        return json.dumps(value)
+        return _quote(value)
     if value is None:
         return "null"
     raise InputError(f"cannot serialize value of type {type(value).__name__}")

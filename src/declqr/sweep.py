@@ -11,16 +11,18 @@ one default config in DEFAULT_CONFIGS; run_sweep solves the whole stack at once:
          at every point; the decentralization locus q0 = 1/a2 (gamma2 = a2) is
          sampled alongside the grid as the points (1/a2, a2).
 
-The grid points (and the qa locus samples) go through one
-matcore.solve_care_stack call and one decentral.pattern_decentralized call on
-the stack of gains; each becomes a GridRecord of h2 = sqrt(trace P), the
-oracle decentralization verdict and off-pattern mass, and a failed solve
-carries its status tag instead of a fabricated value. The locus keeps its
-solved records as SweepResult.curve and each other a2, with its reason, in
-curve_excluded. Output is a CSV (fixed column order, floats with 17
-significant digits, records sorted by grid indices, so identical configs give
-byte-identical files) plus a JSON sidecar with the config, summary statistics
-and (qa) the locus samples.
+The grid points (and the qa locus samples) are validated once, as one stack:
+every problem of PROBLEM_BUILDERS has diagonal Q and R, so
+matcore._diagonal_weight_errors judges them as require_spd would. The checked
+stack goes through one matcore._solve_care_validated call and one
+decentral.pattern_decentralized call on the stack of gains; each point becomes
+a GridRecord of h2 = sqrt(trace P), the oracle decentralization verdict and
+off-pattern mass, and a failed solve carries its status tag instead of a
+fabricated value. The locus keeps its solved records as SweepResult.curve and
+each other a2, with its reason, in curve_excluded. Output is a CSV (fixed
+column order, floats with 17 significant digits, records sorted by grid
+indices, so identical configs give byte-identical files) plus a JSON sidecar
+with the config, summary statistics and (qa) the locus samples.
 
 A config's keys are SweepConfig's fields, and an axis's keys those of
 AXIS_KEYS, which from_dict reads and SweepAxis.to_dict writes; any other key is
@@ -34,7 +36,7 @@ import numpy as np
 
 from .decentral import diagonal_cost_stack, pattern_decentralized, single_station_neighborhoods
 from .errors import InputError
-from .matcore import as_count, as_real, solve_care_stack
+from .matcore import _diagonal_weight_errors, _solve_care_validated, as_count, as_real
 from .serialize import _format_rows, dumps_json
 
 CSV_COLUMNS = ("axis1", "axis2", "h2", "decentralized", "offdiag_mass", "status")
@@ -242,15 +244,19 @@ def run_sweep(cfg):
     curve_samples values of a2 spaced like axis2, as the records of the
     points (1/a2, a2). Samples with a2 <= 0 break the same-sign condition on
     the self terms and are excluded with a reason, as are samples whose solve
-    fails, with its status. Grid and locus are solved as one stack.
+    fails, with its status (a subnormal a2 gives q0 = inf, bad data). Grid and
+    locus are solved as one stack; each point's status is the one
+    solve_care_stack gives it alone.
     """
     x1, x2 = (g.ravel() for g in np.meshgrid(cfg.axis1.grid(), cfg.axis2.grid(), indexing="ij"))
     points = len(x1)
     curve_a2 = replace(cfg.axis2, steps=cfg.curve_samples).grid() if cfg.kind == "qa" else []
     locus = [a2 for a2 in curve_a2 if a2 > 0]
-    x1 = np.concatenate([x1, 1.0 / np.array(locus, dtype=float)])
+    with np.errstate(over="ignore"):  # q0 = inf at a subnormal a2 fails as bad data
+        x1 = np.concatenate([x1, 1.0 / np.array(locus, dtype=float)])
     x2 = np.concatenate([x2, locus])
-    sol = solve_care_stack(*PROBLEM_BUILDERS[cfg.kind](x1, x2))
+    stacks = PROBLEM_BUILDERS[cfg.kind](x1, x2)
+    sol = _solve_care_validated(*stacks, _diagonal_weight_errors(*stacks))
     solved = np.array([exc is None for exc in sol.errors], dtype=bool)
     decentralized, mass = np.zeros(len(x1), dtype=bool), np.zeros(len(x1))
     if solved.any():

@@ -356,6 +356,22 @@ class TestCheck:
             assert c == pytest.approx(2e200, rel=1e-15)
             assert status == 2
 
+    @pytest.mark.parametrize("a", [-1e200, 1e200])
+    def test_thm2_oracle_on_a_ring_beyond_the_square_range(self, tmp_path, capsys, a):
+        # At a = -1e200 the oracle's K is the exact 5e-201 I (its Lyapunov
+        # step underflowed to 4.9999999627e-201 I); at a = 1e200 the solver
+        # names the quadratic term P B R^-1 B' P, about 4e400.
+        path = tmp_path / "huge.json"
+        eye = identity_spec(4)
+        save_system(circulant_document(CirculantSpec([a, 0.0, 0.0, 0.0]), eye, eye, eye), path)
+        status, text = run_cli(["check", "thm2", "--system", str(path)])
+        if a < 0:
+            K = np.array([[float(x) for x in row.split()] for row in text.split("K:\n")[1].splitlines()])
+            assert status == 0 and np.allclose(K, 5e-201 * np.eye(4), rtol=1e-15, atol=0.0)
+        else:
+            assert status == 2
+            assert "P B R^-1 B' P is not finite in 64-bit floats" in capsys.readouterr().err
+
     def test_thm2_on_non_symmetric_ring(self, tmp_path):
         path = tmp_path / "ring.json"
         save_system(circulant_document(*nonsymmetric_uniform_gain_instance()), path)

@@ -131,6 +131,23 @@ class TestSolveLyapunov:
         with pytest.raises(InputError):
             solve_lyapunov(np.diag([-1.0, -2.0]), [[0.0, 1.0], [0.0, 0.0]])
 
+    @pytest.mark.parametrize("s", [1e-250, 1e-200, 1e-160, 1e160, 1e200, 1e250])
+    def test_far_from_unit_scale(self, s):
+        # The carried block Z^-1 Q Z^-T of the first, scaled sign step is of
+        # the order 1/s^2: formed unscaled, it underflowed (half the solution
+        # at s = 1e200) or overflowed (a spurious ResonantSpectrumError).
+        X = solve_lyapunov(-s * np.eye(4), np.eye(4))
+        assert np.allclose(X, np.eye(4) / (2.0 * s), rtol=1e-15, atol=0.0)
+
+    def test_carried_block_is_bitwise_the_unscaled_product_in_range(self):
+        # Scaling Z^-1 by a power of two, and c by its square, rounds nothing
+        # where no product leaves the float range.
+        rng = np.random.default_rng(8)
+        F, Zi = rng.normal(size=(2, 5, 4, 4))
+        c3 = np.exp(rng.uniform(-18.0, 18.0, (5, 1, 1)))
+        expected = matcore._newton_mean(F, Zi @ F @ matcore._t(Zi), c3)
+        assert np.array_equal(matcore._carried_mean(F, Zi, c3), expected)
+
 
 class TestBassGain:
     def test_already_stable_gives_zero_gain(self):
@@ -344,6 +361,18 @@ class TestSolveCare:
         assert isinstance(out.errors[0], UnstabilizableError) and out.errors[1] is None
         assert np.array_equal(out.P[1], solve_care(A, I, I, I).P)
 
+    def test_overflowing_quadratic_term_is_named(self):
+        # P = 2e200 I is finite, but P B R^-1 B' P is about 4e400: the item
+        # fails by name, not as a solver failure of its Kleinman step.
+        with pytest.raises(UnstabilizableError, match=r"P B R\^-1 B' P is not finite"):
+            solve_care(1e200 * np.eye(4), np.eye(4), np.eye(4), np.eye(4))
+
+    def test_huge_stable_plant_takes_one_kleinman_step(self, monkeypatch):
+        lyapunov = _counting(monkeypatch, "solve_lyapunov")
+        res = solve_care(-1e200 * np.eye(4), np.eye(4), np.eye(4), np.eye(4))
+        assert len(lyapunov) == 1
+        assert np.allclose(res.K, 5e-201 * np.eye(4), rtol=1e-15, atol=0.0)
+
     def test_weight_near_float_max_solves_without_warning(self):
         # (Q + Q')/2 and the closed-loop certificate overflow on the way; the
         # certificate falls back to is_hurwitz.
@@ -392,6 +421,16 @@ class TestSignCallsPerSolve:
         sol = solve_care_stack(*stacks)
         assert len(sol.errors) == 63 and not any(sol.errors)
         assert (len(signs), len(hurwitz)) == (1, 0)
+
+    @pytest.mark.parametrize("N", [1, 63])
+    def test_each_norm_once(self, monkeypatch, N):
+        # A, B, Q, P, K, the quadratic term, A'P and the defect: the residual
+        # tolerance, the floor scale and the certificate share these 8 norms.
+        q_ratio, g_ratio = np.geomspace(0.2, 5.0, N), np.geomspace(5.0, 0.2, N)
+        stacks = PROBLEM_BUILDERS["qr"](q_ratio, g_ratio)
+        fro = _counting(monkeypatch, "_fro")
+        sol = matcore._solve_care_validated(*stacks, [None] * N)
+        assert not any(sol.errors) and len(fro) == 8
 
 
 def _large_input_draw():
@@ -464,8 +503,10 @@ class TestClosedLoopCertificate:
         n = len(A_cl)
         A, B, Q, R, P = np.asarray(A_cl)[None] + np.eye(n), *[np.eye(n)[None]] * 4
         K, quad, defect = matcore._care_defect(A, B, Q, R, P)
+        norms = matcore._fro_norms(A, B, Q, P, K, quad, matcore._fro(defect))
         hurwitz = _counting(monkeypatch, "is_hurwitz")
-        return bool(matcore._closed_loop_hurwitz(A, B, Q, P, K, quad, defect)[0]), len(hurwitz)
+        verdict = matcore._closed_loop_hurwitz(A, B, Q, P, K, quad, defect, norms)
+        return bool(verdict[0]), len(hurwitz)
 
     def test_imaginary_axis_pair_goes_to_is_hurwitz(self, monkeypatch):
         assert self.certify(monkeypatch, [[0.0, 1.0], [-1.0, 0.0]]) == (False, 1)

@@ -1,6 +1,7 @@
 """The row formatter and the 17-digit rule it shares with format_float."""
 
 import io
+import json
 
 import numpy as np
 import pytest
@@ -64,3 +65,9 @@ def _json(bad):
 def test_non_finite_values_are_input_errors(write, bad):
     with pytest.raises(InputError, match="cannot serialize a non-finite float"):
         write(bad)
+
+
+def test_keys_and_strings_are_quoted_as_json_dumps_quotes_them():
+    texts = ["", "plain", 'quote " in', "back\\slash", "ctl \x00\x1f\t\n\r\x7f", "é ü ∑ 中 😀"]
+    doc = {t: [t, {t: None, "n": 3, "b": True}] for t in texts}
+    assert dumps_json(doc) == json.dumps(doc, sort_keys=True)

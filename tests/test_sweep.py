@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import declqr.decentral as decentral
+import declqr.matcore as matcore
 import declqr.sweep as sweep
 from declqr import InputError, LqrProblem, SweepAxis, SweepConfig, run_sweep
 from declqr.sweep import csv_text, sidecar_dict, write_outputs
@@ -91,8 +92,10 @@ class TestQrSweep:
 
 class TestStackedSolve:
     def test_one_stacked_solve_and_no_per_point_calls(self, monkeypatch):
+        # The sweep's stacks go straight to the validated solver, checked
+        # once by their diagonals: require_spd is not called either.
         sizes = []
-        solve_stack = sweep.solve_care_stack
+        solve_stack = sweep._solve_care_validated
 
         def counting(*stacks):
             sizes.append(len(stacks[0]))
@@ -101,9 +104,10 @@ class TestStackedSolve:
         def per_point(*args, **kwargs):
             raise AssertionError("per-point call on the sweep path")
 
-        monkeypatch.setattr(sweep, "solve_care_stack", counting)
+        monkeypatch.setattr(sweep, "_solve_care_validated", counting)
         monkeypatch.setattr(decentral, "oracle_check", per_point)
         monkeypatch.setattr(LqrProblem, "__post_init__", per_point)
+        monkeypatch.setattr(matcore, "require_spd", per_point)
         cfg = SweepConfig(
             kind="qa",
             axis1=SweepAxis("q0", 0.5, 2.0, 3),
@@ -122,6 +126,46 @@ class TestStackedSolve:
         assert len(small) == 4
         for rec in small:
             assert corners[(rec.axis1, rec.axis2)] == rec
+
+
+def _alone(kind, a1, a2):
+    """(status, h2) of the grid point (a1, a2) solved alone by solve_care_stack."""
+    sol = matcore.solve_care_stack(*sweep.PROBLEM_BUILDERS[kind](np.array([a1]), np.array([a2])))
+    exc = sol.errors[0]
+    return ("ok", sol.h2[0]) if exc is None else (type(exc).__name__, None)
+
+
+def _axes(spec1, spec2):
+    return [SweepAxis(name, *spec) for name, spec in (("x1", spec1), ("x2", spec2))]
+
+
+PARITY_CONFIGS = {
+    "default-qr": SweepConfig.default_qr(),
+    "default-qa": SweepConfig.default_qa(),
+    "qr-linear-across-0": SweepConfig("qr", *_axes((-2.0, 3.0, 6, "linear"), (-1.0, 1.0, 5, "linear"))),
+    "qa-linear-across-0": SweepConfig(
+        "qa", *_axes((-1.0, 1.0, 5, "linear"), (-2.0, 2.0, 5, "linear")), curve_samples=6
+    ),
+    "qr-subnormal": SweepConfig("qr", *_axes((1e-320, 1e10, 9), (1e-320, 1e10, 9))),
+    "qa-subnormal": SweepConfig("qa", *_axes((1e-320, 1e10, 9), (1e-320, 1e10, 9)), curve_samples=9),
+    "qr-1e300": SweepConfig("qr", *_axes((1e-300, 1e300, 7), (1e-300, 1e300, 7))),
+    "qa-1e300": SweepConfig("qa", *_axes((1e-300, 1e300, 7), (1e-300, 1e300, 7)), curve_samples=7),
+}
+
+
+@pytest.mark.parametrize("cfg", PARITY_CONFIGS.values(), ids=PARITY_CONFIGS.keys())
+def test_status_of_each_point_is_its_own_solve(cfg):
+    # The sweep checks its stacks by their diagonals and skips require_spd:
+    # every grid point and locus sample ends as solve_care_stack ends it alone,
+    # with the same error class or, solved, the same h2 bit for bit.
+    result = run_sweep(cfg)
+    points = [(r.axis1, r.axis2, r.status, r.h2) for r in result.records + result.curve]
+    with np.errstate(over="ignore"):  # q0 = 1/a2 = inf at a subnormal a2
+        points += [(1.0 / a2, a2, status, None) for a2, status in result.curve_excluded if a2 > 0]
+    for a1, a2, status, h2 in points:
+        assert (status, h2) == _alone(cfg.kind, a1, a2)
+    if cfg.kind == "qa":
+        assert len(result.curve) + len(result.curve_excluded) == cfg.curve_samples
 
 
 class TestQaSweep:
@@ -173,6 +217,12 @@ class TestQaSweep:
         data = sidecar_dict(result)
         assert data["curve_excluded"] == [{"a2": 1e9, "reason": "UnstabilizableError"}]
         assert data["summary"]["curve"]["excluded"] == 1
+
+    def test_subnormal_a2_excludes_its_locus_sample_without_a_warning(self):
+        # q0 = 1/a2 is inf at a2 = 1e-320: that weight is not SPD, so the
+        # sample is excluded as bad data, and no overflow warning escapes.
+        cfg = SweepConfig.from_dict({"kind": "qa", "axis2": {"min": 1e-320, "max": 1e10, "steps": 9}})
+        assert run_sweep(cfg).curve_excluded[0] == (cfg.axis2.lo, "InputError")
 
     def test_cost_varies_along_curve(self):
         cfg = SweepConfig(
