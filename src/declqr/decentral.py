@@ -116,9 +116,9 @@ def oracle_check(prob):
     which need one input per state.
 
     Every CLI check mode judges the system file's own problem here;
-    run_sweep solves its whole stack with one matcore._solve_care_validated
-    call and judges it with one pattern_decentralized call, under the same
-    rule. Solver errors propagate.
+    run_sweep solves its whole stack with solve_care_stack and judges it with
+    one pattern_decentralized call, under the same rule. Solver errors
+    propagate.
     """
     if prob.m != prob.n:
         raise InputError("single-station neighborhoods need one input per state")

@@ -18,8 +18,7 @@ and errors; solve_care is its N = 1 case. Given a stack, solve_lyapunov and
 require_spd return (result, errors) and is_hurwitz a bool array; given one
 matrix, they return its result or raise. solve_care_stack validates through
 require_spd and hands the checked data to _solve_care_validated, which a
-caller holding already validated blocks (secondorder.reduce_and_solve) or
-stacks with diagonal weights (the sweep, checked by _diagonal_weight_errors)
+caller holding already validated blocks (secondorder.reduce_and_solve)
 enters directly. That solver accepts a read-off that already passes its final
 tests, polishes any other through solve_lyapunov, and certifies the final
 closed loop by a Lyapunov inequality, calling is_hurwitz only where that
@@ -283,20 +282,6 @@ def _validate_stack(A, B, Q, R):
         _, spd_errors = require_spd(X, name)
         errors = [e or spd for e, spd in zip(errors, spd_errors)]
     return A, B, Q, R, errors
-
-
-def _diagonal_weight_errors(A, B, Q, R):
-    """_validate_stack's errors for float stacks of fitting shapes whose Q and
-    R are diagonal, in one pass: require_spd passes a diagonal matrix iff its
-    diagonal is finite and positive, so that is all it needs to judge."""
-    errors = [None] * len(A)
-    for X, name in ((A, "A"), (B, "B"), (Q, "Q"), (R, "R")):
-        finite = np.logical_and.reduce(np.isfinite(X), axis=(1, 2))
-        _book(errors, finite, f"{name} contains NaN or Inf entries")
-        if name in ("Q", "R"):
-            positive = np.logical_and.reduce(np.diagonal(X, axis1=1, axis2=2) > 0, axis=1)
-            _book(errors, positive, f"{name} must be positive definite")
-    return errors
 
 
 def _newton_mean(X, Y, c3):
@@ -714,8 +699,7 @@ def _solve_care_validated(A, B, Q, R, errors):
     judges them, and errors[i] None or item i's error, which stops it before
     the first step (the list is filled in place). A caller that assembled its
     data from validated blocks (secondorder.reduce_and_solve) enters here, so
-    the blocks are not validated a second time; so does sweep.run_sweep, whose
-    diagonal weights _diagonal_weight_errors judges in one pass.
+    the blocks are not validated a second time.
 
     A healthy item runs the sign kernel once, on its Hamiltonian: its read-off
     is at the floor, where a Kleinman step only moves the rounding. The other
@@ -744,14 +728,13 @@ def _solve_care_validated(A, B, Q, R, errors):
     P = rho * _lstsq(W[:, :, n:], -W[:, :, :n])
     P = (P + _t(P)) / 2.0
     K, quad, defect = _care_defect(A, B, Q, R, P)
+    # Where the quadratic term leaves the float range, the defect and every
+    # test on it are void.
+    finite = np.logical_and.reduce(np.isfinite(quad), axis=(1, 2))
+    keep = _fail_overflow(errors, live, finite, "P B R^-1 B' P")
+    live, A, B, Q, R, P, K, quad, defect = _compact(keep, live, A, B, Q, R, P, K, quad, defect)
     residual = _fro(defect)
     norms = _fro_norms(A, B, Q, P, K, quad, residual)
-    # Column 5 is ||quad||: beyond the float range the defect, and every test
-    # on it, is void.
-    keep = _fail_overflow(errors, live, np.isfinite(norms[:, 5]), "P B R^-1 B' P")
-    live, A, B, Q, R, P, K, quad, defect, residual, norms = _compact(
-        keep, live, A, B, Q, R, P, K, quad, defect, residual, norms
-    )
     tol = CARE_RESIDUAL_TOL * np.maximum(1.0, norms[:, 2])  # column 2 is ||Q||
 
     # The read-off is accepted where it passes the final tests of

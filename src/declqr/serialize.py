@@ -45,12 +45,11 @@ def _format_rows(rows, sep):
 
 
 def _encode(value):
-    # Exact types first, in the order a sweep sidecar holds them most: floats,
-    # then strings, which json.dumps itself quotes with _quote.
-    kind = type(value)
-    if kind is float:
+    # Floats and strings first, the values a sweep sidecar holds most; json.dumps
+    # itself quotes a str with _quote.
+    if isinstance(value, (float, np.floating)):
         return format_float(value)
-    if kind is str:
+    if isinstance(value, str):
         return _quote(value)
     if isinstance(value, dict):
         items = sorted(value.items())
@@ -66,10 +65,6 @@ def _encode(value):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(value)
-    if isinstance(value, str):
-        return _quote(value)
     if value is None:
         return "null"
     raise InputError(f"cannot serialize value of type {type(value).__name__}")

@@ -11,24 +11,23 @@ one default config in DEFAULT_CONFIGS; run_sweep solves the whole stack at once:
          at every point; the decentralization locus q0 = 1/a2 (gamma2 = a2) is
          sampled alongside the grid as the points (1/a2, a2).
 
-The grid points (and the qa locus samples) are validated once, as one stack:
-every problem of PROBLEM_BUILDERS has diagonal Q and R, so
-matcore._diagonal_weight_errors judges them as require_spd would. The checked
-stack goes through one matcore._solve_care_validated call and one
-decentral.pattern_decentralized call on the stack of gains; each point becomes
-a GridRecord of h2 = sqrt(trace P), the oracle decentralization verdict and
-off-pattern mass, and a failed solve carries its status tag instead of a
-fabricated value. The locus keeps its solved records as SweepResult.curve and
-each other a2, with its reason, in curve_excluded. Output is a CSV (fixed
-column order, floats with 17 significant digits, records sorted by grid
-indices, so identical configs give byte-identical files) plus a JSON sidecar
-with the config, summary statistics and (qa) the locus samples.
+The grid points (and the qa locus samples) go through one
+matcore.solve_care_stack call and one decentral.pattern_decentralized call on
+the stack of gains; each becomes a GridRecord of h2 = sqrt(trace P), the
+oracle decentralization verdict and off-pattern mass, and a failed solve
+carries its status tag instead of a fabricated value. The locus keeps its
+solved records as SweepResult.curve and each other a2, with its reason, in
+curve_excluded. Output is a CSV (fixed column order, floats with 17
+significant digits, records sorted by grid indices, so identical configs give
+byte-identical files) plus a JSON sidecar with the config, summary statistics
+and (qa) the locus samples.
 
 A config's keys are SweepConfig's fields, and an axis's keys those of
 AXIS_KEYS, which from_dict reads and SweepAxis.to_dict writes; any other key is
 an InputError that names it.
 """
 
+import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
@@ -36,7 +35,7 @@ import numpy as np
 
 from .decentral import diagonal_cost_stack, pattern_decentralized, single_station_neighborhoods
 from .errors import InputError
-from .matcore import _diagonal_weight_errors, _solve_care_validated, as_count, as_real
+from .matcore import as_count, as_real, solve_care_stack
 from .serialize import _format_rows, dumps_json
 
 CSV_COLUMNS = ("axis1", "axis2", "h2", "decentralized", "offdiag_mass", "status")
@@ -245,8 +244,7 @@ def run_sweep(cfg):
     points (1/a2, a2). Samples with a2 <= 0 break the same-sign condition on
     the self terms and are excluded with a reason, as are samples whose solve
     fails, with its status (a subnormal a2 gives q0 = inf, bad data). Grid and
-    locus are solved as one stack; each point's status is the one
-    solve_care_stack gives it alone.
+    locus are solved as one stack.
     """
     x1, x2 = (g.ravel() for g in np.meshgrid(cfg.axis1.grid(), cfg.axis2.grid(), indexing="ij"))
     points = len(x1)
@@ -255,8 +253,7 @@ def run_sweep(cfg):
     with np.errstate(over="ignore"):  # q0 = inf at a subnormal a2 fails as bad data
         x1 = np.concatenate([x1, 1.0 / np.array(locus, dtype=float)])
     x2 = np.concatenate([x2, locus])
-    stacks = PROBLEM_BUILDERS[cfg.kind](x1, x2)
-    sol = _solve_care_validated(*stacks, _diagonal_weight_errors(*stacks))
+    sol = solve_care_stack(*PROBLEM_BUILDERS[cfg.kind](x1, x2))
     solved = np.array([exc is None for exc in sol.errors], dtype=bool)
     decentralized, mass = np.zeros(len(x1), dtype=bool), np.zeros(len(x1))
     if solved.any():
@@ -322,16 +319,27 @@ def sidecar_dict(result):
     return data
 
 
+def _overwrite(path, text):
+    """Leave path holding text, as open(path, "w") does, but write over the
+    old bytes and then cut a longer old file to length. Emptying the file
+    first costs more than the write itself on ext4, which writes out a file
+    truncated to zero when it is closed, so that a power loss leaves the old
+    file or the new one; here an interrupted write can leave new bytes
+    followed by old ones. A sweep's outputs are remade by running it again."""
+    data = text.encode()
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "wb") as fh:
+        fh.write(data)
+        if os.fstat(fh.fileno()).st_size > len(data):
+            fh.truncate()
+
+
 def write_outputs(result, csv_path):
     """Write the CSV and its JSON sidecar; returns (csv_path, json_path)."""
     csv_path = str(csv_path)
     json_path = (csv_path[:-4] if csv_path.endswith(".csv") else csv_path) + ".json"
     try:
-        with open(csv_path, "w") as fh:
-            fh.write(csv_text(result))
-        with open(json_path, "w") as fh:
-            fh.write(dumps_json(sidecar_dict(result)))
-            fh.write("\n")
+        _overwrite(csv_path, csv_text(result))
+        _overwrite(json_path, dumps_json(sidecar_dict(result)) + "\n")
     except OSError as exc:
         raise InputError(f"cannot write sweep output: {exc}") from exc
     return csv_path, json_path

@@ -367,6 +367,13 @@ class TestSolveCare:
         with pytest.raises(UnstabilizableError, match=r"P B R\^-1 B' P is not finite"):
             solve_care(1e200 * np.eye(4), np.eye(4), np.eye(4), np.eye(4))
 
+    @pytest.mark.parametrize("n, q", [(4, 1e308), (2, 1.3e308)])
+    def test_quadratic_term_with_an_infinite_norm_solves(self, n, q):
+        # P = sqrt(q) I, so P B R^-1 B' P = q I has finite entries while its
+        # Frobenius norm is inf: only non-finite entries name the term.
+        res = solve_care(np.zeros((n, n)), np.eye(n), q * np.eye(n), np.eye(n))
+        assert np.allclose(res.P, np.sqrt(q) * np.eye(n), rtol=1e-15, atol=0.0)
+
     def test_huge_stable_plant_takes_one_kleinman_step(self, monkeypatch):
         lyapunov = _counting(monkeypatch, "solve_lyapunov")
         res = solve_care(-1e200 * np.eye(4), np.eye(4), np.eye(4), np.eye(4))

@@ -7,6 +7,7 @@ import declqr.decentral as decentral
 import declqr.matcore as matcore
 import declqr.sweep as sweep
 from declqr import InputError, LqrProblem, SweepAxis, SweepConfig, run_sweep
+from declqr.serialize import dumps_json
 from declqr.sweep import csv_text, sidecar_dict, write_outputs
 
 SQRT2 = np.sqrt(2.0)
@@ -92,10 +93,8 @@ class TestQrSweep:
 
 class TestStackedSolve:
     def test_one_stacked_solve_and_no_per_point_calls(self, monkeypatch):
-        # The sweep's stacks go straight to the validated solver, checked
-        # once by their diagonals: require_spd is not called either.
         sizes = []
-        solve_stack = sweep._solve_care_validated
+        solve_stack = sweep.solve_care_stack
 
         def counting(*stacks):
             sizes.append(len(stacks[0]))
@@ -104,10 +103,9 @@ class TestStackedSolve:
         def per_point(*args, **kwargs):
             raise AssertionError("per-point call on the sweep path")
 
-        monkeypatch.setattr(sweep, "_solve_care_validated", counting)
+        monkeypatch.setattr(sweep, "solve_care_stack", counting)
         monkeypatch.setattr(decentral, "oracle_check", per_point)
         monkeypatch.setattr(LqrProblem, "__post_init__", per_point)
-        monkeypatch.setattr(matcore, "require_spd", per_point)
         cfg = SweepConfig(
             kind="qa",
             axis1=SweepAxis("q0", 0.5, 2.0, 3),
@@ -155,9 +153,9 @@ PARITY_CONFIGS = {
 
 @pytest.mark.parametrize("cfg", PARITY_CONFIGS.values(), ids=PARITY_CONFIGS.keys())
 def test_status_of_each_point_is_its_own_solve(cfg):
-    # The sweep checks its stacks by their diagonals and skips require_spd:
-    # every grid point and locus sample ends as solve_care_stack ends it alone,
-    # with the same error class or, solved, the same h2 bit for bit.
+    # Every grid point and locus sample of the one stacked solve ends as
+    # solve_care_stack ends it alone, with the same error class or, solved,
+    # the same h2 bit for bit.
     result = run_sweep(cfg)
     points = [(r.axis1, r.axis2, r.status, r.h2) for r in result.records + result.curve]
     with np.errstate(over="ignore"):  # q0 = 1/a2 = inf at a subnormal a2
@@ -263,6 +261,29 @@ class TestOutputs:
         assert sidecar["summary"]["solved"] == 9
         assert "h2_min" in sidecar["summary"]
         assert sidecar["config"]["kind"] == "qr"
+
+    @pytest.mark.parametrize("old_size", [1, 100_000])
+    def test_rewrite_leaves_only_the_new_bytes(self, tmp_path, old_size):
+        # The outputs are written over an existing file, which is then cut
+        # to length: a shorter or longer old file leaves none of its bytes.
+        result = run_sweep(small_qr_config(steps=3))
+        paths = [tmp_path / "grid.csv", tmp_path / "grid.json"]
+        for path in paths:
+            path.write_text("x" * old_size)
+        write_outputs(result, paths[0])
+        assert paths[0].read_text() == csv_text(result)
+        assert paths[1].read_text() == dumps_json(sidecar_dict(result)) + "\n"
+
+    def test_unwritable_result_leaves_the_old_outputs(self, tmp_path):
+        # The text is formed before its file is opened, so a non-finite value
+        # neither empties an old CSV nor creates a sidecar.
+        result = run_sweep(small_qr_config(steps=3))
+        result.records[0].h2 = float("inf")
+        path = tmp_path / "grid.csv"
+        path.write_text("old")
+        with pytest.raises(InputError, match="non-finite"):
+            write_outputs(result, path)
+        assert path.read_text() == "old" and not (tmp_path / "grid.json").exists()
 
     def test_floats_carry_seventeen_digits(self):
         result = run_sweep(small_qr_config(steps=3))
