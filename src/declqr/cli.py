@@ -146,8 +146,8 @@ def _cmd_sweep(args, out):
         raise InputError(f"sweep needs --config FILE or --default {{{kinds}}}")
     result = sweepmod.run_sweep(cfg)
     output = args.output or cfg.output or f"sweep_{cfg.kind}.csv"
-    csv_path, json_path = sweepmod.write_outputs(result, output)
     summary = result.summary()
+    csv_path, json_path = sweepmod.write_outputs(result, output, summary)
     out.write(f"wrote {csv_path} ({summary['points']} points, {summary['solved']} solved)\n")
     out.write(f"wrote {json_path}\n")
     if "h2_min" in summary:

@@ -20,10 +20,13 @@ matrix, they return its result or raise. solve_care_stack validates through
 require_spd and hands the checked data to _solve_care_validated, which a
 caller holding already validated blocks (secondorder.reduce_and_solve)
 enters directly. That solver accepts a read-off that already passes its final
-tests, polishes any other through solve_lyapunov, and certifies the final
-closed loop by a Lyapunov inequality, calling is_hurwitz only where that
-fails. A healthy solve runs the kernel once, on the Hamiltonian, and takes
-each of the eight Frobenius norms its tests share once (_fro_norms).
+tests and polishes any other through solve_lyapunov. One judge, _final_tests,
+holds those tests for both paths: P positive definite, then the closed loop
+certified by a Lyapunov inequality, calling is_hurwitz only where that fails.
+A healthy solve runs the kernel once, on the Hamiltonian, and takes each of
+the eight Frobenius norms its tests share once (_fro_norms). One helper,
+_refuse, turns a failed test's mask into per-item errors, the first error of
+an item winning; _record files the errors a sign or Lyapunov run returns.
 """
 
 import math
@@ -53,7 +56,7 @@ CARE_MAX_ITER = 200
 # number is singular.
 RESONANCE_COND_LIMIT = 1e14
 # A residual within this many machine epsilons of the Riccati expression's own
-# scale (_residual_scale) is the attainable floor: a read-off there needs no
+# scale (_residual_floor) is the attainable floor: a read-off there needs no
 # Kleinman step, and exceeding the acceptance tolerance there means the pair
 # is too ill-conditioned for 64-bit arithmetic, not that the iteration failed.
 # Healthy read-offs land within ~10 eps of scale; genuine accuracy bugs land
@@ -220,14 +223,15 @@ def is_positive_definite(M):
     return True if M.ndim == 2 else np.ones(len(M), dtype=bool)
 
 
-def _book(errors, ok, message):
-    """Give each item failing the mask ok that has no error yet an InputError;
-    True when every item passes."""
+def _refuse(errors, live, ok, error_type, message):
+    """The one per-item refusal: each item live[j] whose ok[j] is False gets
+    error_type(message) unless it has an error already (the first error
+    wins). Returns the mask ok of the items still going, None when all are."""
     if np.count_nonzero(ok) == len(ok):
-        return True
-    for i in np.flatnonzero(~ok):
-        errors[i] = errors[i] or InputError(message)
-    return False
+        return None
+    for i in live[~ok]:
+        errors[i] = errors[i] or error_type(message)
+    return ok
 
 
 def require_spd(M, name):
@@ -241,13 +245,13 @@ def require_spd(M, name):
         _check_shape(M.shape[1:], name, square=True)
     else:
         M = as_matrix(M, name, square=True)[None]
-    errors = [None] * len(M)
+    errors, live = [None] * len(M), np.arange(len(M))
     finite = np.logical_and.reduce(np.isfinite(M), axis=(1, 2))
     X = M
-    if not _book(errors, finite, f"{name} contains NaN or Inf entries"):
+    if _refuse(errors, live, finite, InputError, f"{name} contains NaN or Inf entries") is not None:
         X = np.where(finite[:, None, None], M, 0.0)  # those items have failed already
-    _book(errors, is_symmetric(X), f"{name} must be symmetric")
-    _book(errors, is_positive_definite(X), f"{name} must be positive definite")
+    _refuse(errors, live, is_symmetric(X), InputError, f"{name} must be symmetric")
+    _refuse(errors, live, is_positive_definite(X), InputError, f"{name} must be positive definite")
     if stack:
         return M, errors
     if errors[0] is not None:
@@ -274,10 +278,10 @@ def _validate_stack(A, B, Q, R):
     _check_shape(R.shape[1:], "R", rows=m, cols=m)
     if not len(A) == len(B) == len(Q) == len(R):
         raise InputError("A, B, Q and R must stack the same number of items")
-    errors = [None] * len(A)
+    errors, live = [None] * len(A), np.arange(len(A))
     for X, name in ((A, "A"), (B, "B")):
         finite = np.logical_and.reduce(np.isfinite(X), axis=(1, 2))
-        _book(errors, finite, f"{name} contains NaN or Inf entries")
+        _refuse(errors, live, finite, InputError, f"{name} contains NaN or Inf entries")
     for X, name in ((Q, "Q"), (R, "R")):
         _, spd_errors = require_spd(X, name)
         errors = [e or spd for e, spd in zip(errors, spd_errors)]
@@ -388,8 +392,8 @@ def _sign(Z, F=None):
                 # Every item stops in this step, as a lone item always does:
                 # recording them item by item costs a 2 x 2 solve_care 12%.
                 return Z_next, F, np.full(N, it), errors
-            for i in live[~fine]:
-                errors[i] = ResonantSpectrumError("imaginary-axis eigenvalue (singular or stalled sign)")
+            message = "imaginary-axis eigenvalue (singular or stalled sign)"
+            _refuse(errors, live, fine, ResonantSpectrumError, message)
             S[live[done]], steps[live[done]] = Z_next[done], it
             keep = fine & ~done
             state = _compact(keep, *state)
@@ -640,28 +644,33 @@ def _care_error(exc):
 def _fro_norms(A, B, Q, P, K, quad, residual):
     """(N, 8) array whose row i holds the _fro norms of item i of A, B, Q, P,
     K, quad and A'P, then residual, the norm of its Riccati defect. The
-    residual tolerance, _residual_scale and _closed_loop_hurwitz read their
+    residual tolerance, _residual_floor and _closed_loop_hurwitz read their
     norms here, so a solve takes each once."""
     return np.stack([*map(_fro, (A, B, Q, P, K, quad, _t(A) @ P)), residual], axis=-1)
 
 
-def _residual_scale(norms):
-    """The scale of the Riccati expression, per item of _fro_norms: its
-    attainable residual floor is RESIDUAL_FLOOR_FACTOR * eps times this. It
-    counts the rounding in A'P + PA, in the quadratic term and inside PB, and
-    in Q."""
+def _residual_floor(norms):
+    """(scale, floor) per item of _fro_norms: the scale of the Riccati
+    expression, which counts the rounding in A'P + PA, in the quadratic term
+    and inside PB, and in Q, and the attainable residual floor
+    RESIDUAL_FLOOR_FACTOR * eps times it."""
     _, b, q, p, k, quad, ap, _ = norms.T
-    return 2.0 * ap + quad + q + p * b * k
+    scale = 2.0 * ap + quad + q + p * b * k
+    return scale, RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps * scale
 
 
-def _fail_overflow(errors, live, finite, what):
-    """Give each item of live that the mask finite marks False an
-    UnstabilizableError saying that its `what` is not finite; the mask of the
-    items still going, None when all are."""
-    if np.count_nonzero(finite) == len(finite):
-        return None
-    error = f"unstabilizable or ill-conditioned pair: {what} is not finite in 64-bit floats"
-    return _record(errors, live, [None if ok else UnstabilizableError(error) for ok in finite])
+def _final_tests(ok, A, B, Q, P, K, quad, defect, norms):
+    """(pd, hurwitz): the mask ok narrowed to the items whose P is positive
+    definite, then to those whose closed loop _closed_loop_hurwitz certifies.
+    Each test runs on the survivors of the one before, the certificate last;
+    the arguments are as _closed_loop_hurwitz takes them."""
+    pd = ok.copy()
+    if np.count_nonzero(pd):
+        pd[pd] = is_positive_definite(*_compact(pd, P))
+    hurwitz = pd.copy()
+    if np.count_nonzero(hurwitz):
+        hurwitz[hurwitz] = _closed_loop_hurwitz(*_compact(hurwitz, A, B, Q, P, K, quad, defect, norms))
+    return pd, hurwitz
 
 
 def solve_care_stack(A, B, Q, R):
@@ -709,12 +718,12 @@ def _solve_care_validated(A, B, Q, R, errors):
     read-off quadratic term P B R^{-1} B' P, is not finite fails as
     UnstabilizableError, naming that term."""
     N, n, m = B.shape
-    iterations = np.zeros(N, dtype=int)
-    live = np.arange(N)
+    iterations, live = np.zeros(N, dtype=int), np.arange(N)
     live, A, B, Q, R = _compact(_record(errors, live, errors), live, A, B, Q, R)
     G = B @ np.linalg.solve(R, _t(B))
     finite = np.logical_and.reduce(np.isfinite(G), axis=(1, 2))
-    keep = _fail_overflow(errors, live, finite, "G = B R^-1 B'")
+    overflow = "unstabilizable or ill-conditioned pair: {} is not finite in 64-bit floats"
+    keep = _refuse(errors, live, finite, UnstabilizableError, overflow.format("G = B R^-1 B'"))
     live, A, B, Q, R, G = _compact(keep, live, A, B, Q, R, G)
     g = _norm1(G)
     rho = np.sqrt(np.divide(_norm1(Q), g, out=np.ones_like(g), where=g > 0))[:, None, None]
@@ -731,22 +740,14 @@ def _solve_care_validated(A, B, Q, R, errors):
     # Where the quadratic term leaves the float range, the defect and every
     # test on it are void.
     finite = np.logical_and.reduce(np.isfinite(quad), axis=(1, 2))
-    keep = _fail_overflow(errors, live, finite, "P B R^-1 B' P")
+    keep = _refuse(errors, live, finite, UnstabilizableError, overflow.format("P B R^-1 B' P"))
     live, A, B, Q, R, P, K, quad, defect = _compact(keep, live, A, B, Q, R, P, K, quad, defect)
     residual = _fro(defect)
     norms = _fro_norms(A, B, Q, P, K, quad, residual)
     tol = CARE_RESIDUAL_TOL * np.maximum(1.0, norms[:, 2])  # column 2 is ||Q||
-
-    # The read-off is accepted where it passes the final tests of
-    # _kleinman_steps, and within the floor. The tests run on the survivors
-    # of the one before, the certificate last.
-    ok = (residual <= tol) & (
-        residual <= RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps * _residual_scale(norms)
-    )
-    if np.count_nonzero(ok):
-        ok[ok] = is_positive_definite(*_compact(ok, P))
-    if np.count_nonzero(ok):
-        ok[ok] = _closed_loop_hurwitz(*_compact(ok, A, B, Q, P, K, quad, defect, norms))
+    # A read-off within tolerance and the floor faces the final tests.
+    ok = (residual <= tol) & (residual <= _residual_floor(norms)[1])
+    _, ok = _final_tests(ok, A, B, Q, P, K, quad, defect, norms)
     stepped = ~ok
     if np.count_nonzero(stepped):
         accepted = _compact(ok, live, P, K, residual)
@@ -769,13 +770,9 @@ def _kleinman_steps(errors, iterations, live, A, B, Q, R, P, K, defect, tol):
     Every item takes one step, whose Lyapunov solve certifies the read-off
     closed loop; an item still above tolerance takes further steps while its
     residual falls. An item left above tolerance is floor-limited
-    (UnstabilizableError) or NonconvergentError; then P must be positive
-    definite and A - BK pass _closed_loop_hurwitz.
+    (UnstabilizableError) or NonconvergentError; the others face
+    _final_tests, and an item that fails one is a SolverError naming it.
     """
-
-    def certify(ok, message):
-        return _record(errors, live, [None if x else SolverError(message) for x in ok])
-
     dP, lyap_errors = solve_lyapunov(A - B @ K, (defect + _t(defect)) / 2.0)
     keep = _record(errors, live, lyap_errors, _care_error)
     live, A, B, Q, R, P, dP, tol = _compact(keep, live, A, B, Q, R, P, dP, tol)
@@ -804,10 +801,9 @@ def _kleinman_steps(errors, iterations, live, A, B, Q, R, P, K, defect, tol):
     norms = _fro_norms(A, B, Q, P, K, quad, residual)
     over = residual > tol
     if np.count_nonzero(over):
-        scale = _residual_scale(norms)
-        floor = residual <= RESIDUAL_FLOOR_FACTOR * np.finfo(float).eps * scale
+        scale, floor = _residual_floor(norms)
         for j in np.flatnonzero(over):
-            if floor[j]:
+            if residual[j] <= floor[j]:
                 errors[live[j]] = UnstabilizableError(
                     "unstabilizable or ill-conditioned pair: the attainable residual floor "
                     f"({residual[j]:.3e} at solution scale {scale[j]:.3e}) exceeds the "
@@ -819,19 +815,11 @@ def _kleinman_steps(errors, iterations, live, A, B, Q, R, P, K, defect, tol):
                     f"{iterations[live[j]]} sign steps",
                     residual=float(residual[j]),
                 )
-        live, A, B, Q, P, K, quad, defect, residual, norms = _compact(
-            ~over, live, A, B, Q, P, K, quad, defect, residual, norms
-        )
-
-    keep = certify(is_positive_definite(P), "Riccati solution failed the positive-definiteness check")
-    live, A, B, Q, P, K, quad, defect, residual, norms = _compact(
-        keep, live, A, B, Q, P, K, quad, defect, residual, norms
-    )
-    keep = certify(
-        _closed_loop_hurwitz(A, B, Q, P, K, quad, defect, norms),
-        "closed loop failed the Hurwitz certificate",
-    )
-    return _compact(keep, live, P, K, residual)
+    # The first error wins: an item over tolerance keeps its own.
+    pd, hurwitz = _final_tests(~over, A, B, Q, P, K, quad, defect, norms)
+    _refuse(errors, live, pd, SolverError, "Riccati solution failed the positive-definiteness check")
+    _refuse(errors, live, hurwitz, SolverError, "closed loop failed the Hurwitz certificate")
+    return _compact(hurwitz, live, P, K, residual)
 
 
 def solve_care(A, B, Q, R):

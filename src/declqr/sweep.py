@@ -27,6 +27,7 @@ AXIS_KEYS, which from_dict reads and SweepAxis.to_dict writes; any other key is
 an InputError that names it.
 """
 
+import math
 import os
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional
@@ -101,6 +102,9 @@ class SweepAxis:
             raise InputError(f"axis '{self.name}' spacing must be 'log' or 'linear'")
         if self.spacing == "log" and self.lo <= 0:
             raise InputError(f"axis '{self.name}' log spacing needs lo > 0")
+        # np.linspace steps by (hi - lo) / (steps - 1): the span must not overflow.
+        if self.spacing == "linear" and not math.isfinite(self.hi - self.lo):
+            raise InputError(f"axis '{self.name}' linear spacing needs a finite max - min")
 
     def grid(self):
         if self.spacing == "log":
@@ -299,8 +303,10 @@ def csv_text(result):
     return "\n".join(lines) + "\n"
 
 
-def sidecar_dict(result):
-    data = {"config": result.config.to_dict(), "summary": result.summary()}
+def sidecar_dict(result, summary=None):
+    """The JSON sidecar's data; summary is result.summary(), taken here unless
+    the caller has it already."""
+    data = {"config": result.config.to_dict(), "summary": summary or result.summary()}
     if result.config.kind == "qa":
         data["curve"] = [
             {
@@ -333,13 +339,14 @@ def _overwrite(path, text):
             fh.truncate()
 
 
-def write_outputs(result, csv_path):
-    """Write the CSV and its JSON sidecar; returns (csv_path, json_path)."""
+def write_outputs(result, csv_path, summary=None):
+    """Write the CSV and its JSON sidecar, whose summary is passed on to
+    sidecar_dict; returns (csv_path, json_path)."""
     csv_path = str(csv_path)
     json_path = (csv_path[:-4] if csv_path.endswith(".csv") else csv_path) + ".json"
     try:
         _overwrite(csv_path, csv_text(result))
-        _overwrite(json_path, dumps_json(sidecar_dict(result)) + "\n")
+        _overwrite(json_path, dumps_json(sidecar_dict(result, summary)) + "\n")
     except OSError as exc:
         raise InputError(f"cannot write sweep output: {exc}") from exc
     return csv_path, json_path

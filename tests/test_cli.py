@@ -7,6 +7,7 @@ import pytest
 
 from declqr import CirculantSpec, SecondOrderSystem, decentral, identity_spec, lqr, matcore
 from declqr.cli import _build_parser, cli_main
+from declqr.sweep import SweepResult
 from declqr.sysfile import (
     circulant_document,
     dense_document,
@@ -659,6 +660,31 @@ class TestSweepCommand:
         assert status == 1
         assert capsys.readouterr().err == f"input error: {message}\n"
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_summary_is_taken_once(self, tmp_path, monkeypatch):
+        # The sidecar and the printed lines share one SweepResult.summary().
+        calls, summary = [], SweepResult.summary
+        monkeypatch.setattr(SweepResult, "summary", lambda self: calls.append(1) or summary(self))
+        status, text = run_cli(["sweep", "--default", "qa", "--output", str(tmp_path / "g.csv")])
+        assert status == 0 and "curve: 20 samples" in text
+        assert len(calls) == 1
+
+    def test_linear_axis_with_an_infinite_span_is_input_error(self, tmp_path, capsys, monkeypatch):
+        # max - min overflows, where np.linspace would warn and grid nan, inf.
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "kind": "qr",
+            "axis1": {"min": -1.7e308, "max": 1.7e308, "steps": 3, "spacing": "linear"},
+        }))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            status, text = run_cli(["sweep", "--config", str(cfg_path)])
+        assert (status, text) == (1, "")
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        message = "axis 'q0_over_q2' linear spacing needs a finite max - min"
+        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_neither_flag_is_input_error(self, capsys):
         status, _ = run_cli(["sweep"])

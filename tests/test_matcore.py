@@ -196,6 +196,11 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _refuse_all(stack):
+    """A test's refusal of every item of a stack."""
+    return np.zeros(len(stack), dtype=bool)
+
+
 class TestSolveCare:
     def test_scalar_golden_ratio_like_root(self):
         res = solve_care([[1.0]], [[1.0]], [[1.0]], [[1.0]])
@@ -400,6 +405,30 @@ class TestSolveCare:
             solve_care(A, B, np.eye(5), np.eye(2))
         assert np.isfinite(excinfo.value.residual)
 
+    def test_refused_certificate_is_a_named_solver_error(self, monkeypatch):
+        # The certificate refuses the read-off and the Kleinman path's end.
+        monkeypatch.setattr(matcore, "_closed_loop_hurwitz", lambda A, *rest: _refuse_all(A))
+        with pytest.raises(SolverError) as excinfo:
+            solve_care([[1.0, 1.0], [-1.0, 1.0]], np.eye(2), np.eye(2), np.eye(2))
+        assert type(excinfo.value) is SolverError
+        assert str(excinfo.value) == "closed loop failed the Hurwitz certificate"
+
+    def test_indefinite_solution_is_a_named_solver_error(self, monkeypatch):
+        # Once the weights have passed validation, every definiteness test
+        # refuses: the read-off and the Kleinman path's P alike.
+        validate = matcore._validate_stack
+
+        def validated(*args):
+            out = validate(*args)
+            monkeypatch.setattr(matcore, "is_positive_definite", _refuse_all)
+            return out
+
+        monkeypatch.setattr(matcore, "_validate_stack", validated)
+        with pytest.raises(SolverError) as excinfo:
+            solve_care([[1.0, 1.0], [-1.0, 1.0]], np.eye(2), np.eye(2), np.eye(2))
+        assert type(excinfo.value) is SolverError
+        assert str(excinfo.value) == "Riccati solution failed the positive-definiteness check"
+
 
 def test_unscaled_newton_step_is_bitwise_the_step_at_c_one():
     # _sign skips the products and quotients by c in a step where no running
@@ -546,8 +575,12 @@ class TestSolveCareStack:
             # No input on a rotation: the Hamiltonian has eigenvalues +-i.
             ([[0.0, 1.0], [-1.0, 0.0]], [[0.0], [0.0]], np.eye(2), [[1.0]]),
             ([[-1.0, 2.0], [0.0, 0.5]], [[0.0], [1.0]], np.diag([2.0, 1.0]), [[3.0]]),
+            # G = B R^-1 B' overflows.
+            ([[1.0, 1.0], [-1.0, 1.0]], [[1e200], [0.0]], np.eye(2), [[1e-200]]),
         ]
-        expected = [None, InputError, UnstabilizableError, UnstabilizableError, None]
+        expected = [
+            None, InputError, UnstabilizableError, UnstabilizableError, None, UnstabilizableError
+        ]
         out = solve_care_stack(*(np.array(X, dtype=float) for X in zip(*items)))
         for i, (item, kind) in enumerate(zip(items, expected)):
             if kind is None:
@@ -559,6 +592,7 @@ class TestSolveCareStack:
             with pytest.raises(kind) as excinfo:
                 solve_care(*item)
             assert type(excinfo.value) is kind
+            assert str(out.errors[i]) == str(excinfo.value)
             assert np.isnan(out.P[i]).all() and np.isnan(out.h2[i])
             with pytest.raises(kind):
                 out.item(i)
