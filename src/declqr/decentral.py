@@ -45,36 +45,20 @@ UNIFORM_GAIN_TOL = 1e-9
 # ---------------------------------------------------------------------------
 
 def single_station_neighborhoods(n):
-    """N_i = {i}: each input sees exactly its own state (0-based indices)."""
-    return [frozenset((i,)) for i in range(n)]
+    """N_i = {i}: each input sees exactly its own state, the (n, n) mask I."""
+    return np.eye(n, dtype=bool)
 
 
 def position_velocity_neighborhoods(n):
-    """N_i = {i, n+i} over a stacked [positions; velocities] state of size 2n."""
-    return [frozenset((i, n + i)) for i in range(n)]
+    """N_i = {i, n+i} over a stacked [positions; velocities] state of size 2n:
+    the (n, 2n) mask [I I]."""
+    return np.tile(np.eye(n, dtype=bool), 2)
 
 
-def normalize_neighborhoods(neighborhoods, n_inputs, n_states):
-    """Validate one nonempty, in-range state-index set per input."""
-    nbhd = [frozenset(int(j) for j in nb) for nb in neighborhoods]
-    if len(nbhd) != n_inputs:
-        raise InputError(
-            f"expected {n_inputs} neighborhoods (one per input), got {len(nbhd)}"
-        )
-    for i, nb in enumerate(nbhd):
-        if not nb:
-            raise InputError(f"neighborhood {i} is empty")
-        for j in nb:
-            if not 0 <= j < n_states:
-                raise InputError(
-                    f"neighborhood {i} references state {j}, outside 0..{n_states - 1}"
-                )
-    return nbhd
-
-
-def pattern_decentralized(K, neighborhoods):
+def pattern_decentralized(K, allowed):
     """Test whether K, or each gain of a stack K (N, m, n), conforms to the
-    neighborhood sparsity pattern.
+    information pattern allowed: a boolean (m, n) numpy array whose row i
+    marks N_i, the states input i may read, and is nowhere empty.
 
     Returns (conforms, offdiag_mass), as arrays over the stack for a stack.
     conforms is True when every entry K[i, j] with j outside N_i satisfies
@@ -85,12 +69,14 @@ def pattern_decentralized(K, neighborhoods):
     if K.ndim not in (2, 3):
         raise InputError(f"K must be 2-D or a stack of 2-D gains, got ndim={K.ndim}")
     m, n = K.shape[-2:]
-    nbhd = normalize_neighborhoods(neighborhoods, m, n)
-    off_mask = np.ones((m, n), dtype=bool)
-    for i, nb in enumerate(nbhd):
-        off_mask[i, sorted(nb)] = False
+    if not (isinstance(allowed, np.ndarray) and allowed.dtype == bool
+            and allowed.shape == (m, n)):
+        raise InputError(f"the pattern must be a boolean numpy array of K's shape ({m}, {n})")
+    empty = np.flatnonzero(~allowed.any(axis=1))
+    if empty.size:
+        raise InputError(f"neighborhood {empty[0]} is empty")
     gains = K.reshape(-1, m * n)
-    off = gains[:, off_mask.ravel()]
+    off = gains[:, ~allowed.ravel()]
     k_norm = _fro(gains[:, None, :])
     conforms = np.abs(off).max(axis=1, initial=0.0) <= ORACLE_TOL * np.maximum(1.0, k_norm)
     mass = np.divide(_fro(off[:, None, :]), k_norm, out=np.zeros_like(k_norm), where=k_norm > 0)

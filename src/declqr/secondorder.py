@@ -142,13 +142,15 @@ def check_second_order_decentral(solution):
     Decentralization of the 2n-column gain is equivalent to both gain blocks
     being diagonal. The verdict is taken from the full-solve gain (the ground
     truth); the reduced blocks' own pattern test and the reduction agreement
-    are attached as witnesses.
+    are attached as witnesses. One pattern_decentralized call judges both
+    gains; the report holds Python bools and floats.
     """
-    n = solution.gain_pos.shape[1]
-    nbhd = position_velocity_neighborhoods(n)
-    full_ok, full_mass = pattern_decentralized(solution.full_gain, nbhd)
     reduced = np.hstack([solution.gain_pos, solution.gain_vel])
-    red_ok, red_mass = pattern_decentralized(reduced, nbhd)
+    conforms, mass = pattern_decentralized(
+        np.stack([solution.full_gain, reduced]),
+        position_velocity_neighborhoods(solution.gain_pos.shape[1]),
+    )
+    (full_ok, red_ok), (full_mass, red_mass) = conforms.tolist(), mass.tolist()
     scale = max(
         1.0,
         float(_fro(solution.gain_pos)),

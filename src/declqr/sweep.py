@@ -29,7 +29,7 @@ an InputError that names it.
 
 import math
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -81,6 +81,13 @@ def _text(value, what):
     return value
 
 
+def _spaced(lo, hi, steps, spacing):
+    """steps points from lo to hi, log- or linearly spaced."""
+    if spacing == "log":
+        return np.geomspace(lo, hi, steps)
+    return np.linspace(lo, hi, steps)
+
+
 @dataclass
 class SweepAxis:
     name: str
@@ -107,9 +114,7 @@ class SweepAxis:
             raise InputError(f"axis '{self.name}' linear spacing needs a finite max - min")
 
     def grid(self):
-        if self.spacing == "log":
-            return np.geomspace(self.lo, self.hi, self.steps)
-        return np.linspace(self.lo, self.hi, self.steps)
+        return _spaced(self.lo, self.hi, self.steps, self.spacing)
 
     def to_dict(self):
         return {key: getattr(self, attr) for key, attr in AXIS_KEYS.items()}
@@ -156,24 +161,23 @@ class SweepConfig:
         if not isinstance(kind, str) or kind not in DEFAULT_CONFIGS:
             raise InputError('sweep config needs "kind": ' + _kinds('"'))
         _reject_unknown(data, {f.name for f in fields(cls)}, "sweep config")
-        base = DEFAULT_CONFIGS[kind]()
-
-        def axis(key, default):
+        axes, base = [], None
+        for key in ("axis1", "axis2"):
             spec = data.get(key)
             if spec is None:
-                return default
-            if not isinstance(spec, dict):
+                spec = {}
+            elif not isinstance(spec, dict):
                 raise InputError(f"{key} must be an object")
             _reject_unknown(spec, AXIS_KEYS, key)
-            return SweepAxis(**{
-                attr: spec.get(name, getattr(default, attr)) for name, attr in AXIS_KEYS.items()
-            })
-
+            if spec.keys() < AXIS_KEYS.keys():  # a missing or partial axis
+                base = base or DEFAULT_CONFIGS[kind]()
+                spec = {**getattr(base, key).to_dict(), **spec}
+            axes.append(SweepAxis(**{attr: spec[name] for name, attr in AXIS_KEYS.items()}))
         return cls(
             kind=kind,
-            axis1=axis("axis1", base.axis1),
-            axis2=axis("axis2", base.axis2),
-            curve_samples=data.get("curve_samples", base.curve_samples),
+            axis1=axes[0],
+            axis2=axes[1],
+            curve_samples=data.get("curve_samples", cls.curve_samples),
             output=data.get("output"),
         )
 
@@ -252,7 +256,8 @@ def run_sweep(cfg):
     """
     x1, x2 = (g.ravel() for g in np.meshgrid(cfg.axis1.grid(), cfg.axis2.grid(), indexing="ij"))
     points = len(x1)
-    curve_a2 = replace(cfg.axis2, steps=cfg.curve_samples).grid() if cfg.kind == "qa" else []
+    ax2 = cfg.axis2
+    curve_a2 = _spaced(ax2.lo, ax2.hi, cfg.curve_samples, ax2.spacing) if cfg.kind == "qa" else []
     locus = [a2 for a2 in curve_a2 if a2 > 0]
     with np.errstate(over="ignore"):  # q0 = inf at a subnormal a2 fails as bad data
         x1 = np.concatenate([x1, 1.0 / np.array(locus, dtype=float)])

@@ -26,6 +26,7 @@ from declqr import (
     uniform_gain_candidates,
 )
 from declqr import decentral
+from declqr.matcore import _fro
 from declqr.models import diffusion_decentralizing_cost, diffusion_operator
 from helpers import (
     eigenvalues_to_row,
@@ -89,12 +90,77 @@ class TestPatternDecentralized:
         assert list(ok) == [False, True] and mass[1] == 0.0
 
     def test_out_of_range_neighborhood(self):
-        with pytest.raises(InputError):
-            pattern_decentralized(np.eye(2), [{0}, {5}])
+        # A mask that lets input 1 read state 5, or has a row for a third
+        # input, is not of the (2, 2) gain's shape.
+        reaches_state_5 = np.zeros((2, 6), dtype=bool)
+        reaches_state_5[0, 0] = reaches_state_5[1, 5] = True
+        for mask in (reaches_state_5, np.ones((3, 2), dtype=bool)):
+            with pytest.raises(InputError, match=r"boolean numpy array of K's shape \(2, 2\)"):
+                pattern_decentralized(np.eye(2), mask)
+        with pytest.raises(InputError, match=r"shape \(2, 3\)"):
+            pattern_decentralized(np.ones((4, 2, 3)), np.ones((3, 2), dtype=bool))
+
+    @pytest.mark.parametrize("mask", [np.eye(2, dtype=int), np.eye(2), [[True, False], [False, True]],
+                                      [{0}, {1}]],
+                             ids=["integers", "floats", "nested-list", "index-sets"])
+    def test_pattern_that_is_not_a_boolean_array(self, mask):
+        with pytest.raises(InputError, match="boolean numpy array"):
+            pattern_decentralized(np.eye(2), mask)
 
     def test_empty_neighborhood(self):
-        with pytest.raises(InputError):
-            pattern_decentralized(np.eye(2), [{0}, set()])
+        mask = np.eye(3, dtype=bool)
+        mask[1, 1] = False
+        with pytest.raises(InputError, match="^neighborhood 1 is empty$"):
+            pattern_decentralized(np.eye(3), mask)
+
+
+def set_pattern_reference(K, neighborhoods):
+    """The pattern test over a list of index sets N_i, turned into the
+    off-pattern mask one row at a time: the reference for the mask form."""
+    K = np.asarray(K, dtype=float)
+    m, n = K.shape[-2:]
+    nbhd = [frozenset(int(j) for j in nb) for nb in neighborhoods]
+    assert len(nbhd) == m and all(nb and all(0 <= j < n for j in nb) for nb in nbhd)
+    off_mask = np.ones((m, n), dtype=bool)
+    for i, nb in enumerate(nbhd):
+        off_mask[i, sorted(nb)] = False
+    gains = K.reshape(-1, m * n)
+    off = gains[:, off_mask.ravel()]
+    k_norm = _fro(gains[:, None, :])
+    conforms = np.abs(off).max(axis=1, initial=0.0) <= decentral.ORACLE_TOL * np.maximum(1.0, k_norm)
+    mass = np.divide(_fro(off[:, None, :]), k_norm, out=np.zeros_like(k_norm),
+                     where=k_norm > 0)
+    if K.ndim == 2:
+        return bool(conforms[0]), float(mass[0])
+    return conforms, mass
+
+
+@st.composite
+def gains_and_masks(draw):
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    shape = (m, n) if draw(st.booleans()) else (draw(st.integers(1, 4)), m, n)
+    K = np.array(draw(st.lists(
+        st.one_of(st.just(0.0), st.floats(-1e300, 1e300), st.floats(-1e-6, 1e-6)),
+        min_size=int(np.prod(shape)), max_size=int(np.prod(shape)),
+    ))).reshape(shape)
+    rows = st.lists(st.booleans(), min_size=n, max_size=n).filter(any)
+    mask = np.array(draw(st.lists(rows, min_size=m, max_size=m)), dtype=bool)
+    return K, mask
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(gains_and_masks())
+def test_mask_pattern_test_matches_the_index_set_reference(case):
+    K, mask = case
+    neighborhoods = [set(np.flatnonzero(row).tolist()) for row in mask]
+    got = pattern_decentralized(K, mask)
+    want = set_pattern_reference(K, neighborhoods)
+    if K.ndim == 2:
+        assert type(got[0]) is bool and type(got[1]) is float
+        assert got[0] == want[0] and np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+    else:
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
 
 class TestOracleCheck:

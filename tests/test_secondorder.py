@@ -14,6 +14,8 @@ from declqr import (
     find_uniform_gain,
     identity_spec,
     oracle_check,
+    pattern_decentralized,
+    position_velocity_neighborhoods,
     reduce_and_solve,
     solve_care,
 )
@@ -116,8 +118,17 @@ class TestDiffusionReduction:
         broken = SecondOrderSystem(
             A1=sys2.A1, A2=sys2.A2, B0=sys2.B0, Q0=sys2.Q0, Q2=np.eye(4), R0=sys2.R0
         )
-        report = check_second_order_decentral(reduce_and_solve(broken))
+        sol = reduce_and_solve(broken)
+        report = check_second_order_decentral(sol)
         assert not report.oracle_decentralized
+        # The stacked judgment gives each gain the Python bool and float of
+        # its own pattern test.
+        mask = position_velocity_neighborhoods(4)
+        _, red_ok, witness = report.analytic_verdicts[0]
+        for got, gain in (((report.oracle_decentralized, report.offdiag_mass), sol.full_gain),
+                          ((red_ok, witness["offdiag_mass"]), np.hstack([sol.gain_pos, sol.gain_vel]))):
+            assert got == pattern_decentralized(gain, mask)
+            assert [type(v) for v in got] == [bool, float]
 
     def test_scalar_always_decentralized(self):
         sys2 = SecondOrderSystem(

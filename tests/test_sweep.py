@@ -45,6 +45,19 @@ class TestConfig:
         assert cfg.axis2.steps == 21
         assert cfg.output == "out.csv"
 
+    def test_full_axes_build_no_default_config(self, monkeypatch):
+        want = SweepConfig("qa", SweepAxis("q0", 0.5, 4.0, 5), SweepAxis("a2", 0.25, 8.0, 3, "linear"),
+                           curve_samples=20)
+
+        def refuse():
+            raise AssertionError("a default config was built")
+
+        for kind in sweep.DEFAULT_CONFIGS:
+            monkeypatch.setitem(sweep.DEFAULT_CONFIGS, kind, refuse)
+            monkeypatch.setattr(SweepConfig, f"default_{kind}", refuse)
+        data = {"kind": "qa", "axis1": want.axis1.to_dict(), "axis2": want.axis2.to_dict()}
+        assert SweepConfig.from_dict(data) == want
+
     def test_round_trip_dict(self):
         cfg = SweepConfig.default_qa()
         again = SweepConfig.from_dict(cfg.to_dict())
@@ -64,6 +77,17 @@ class TestConfig:
             SweepAxis("x", 1.0, 2.0, 1)
         with pytest.raises(InputError):
             SweepAxis("x", -1.0, 2.0, 5, spacing="log")
+
+
+def test_run_sweep_validates_no_axis(monkeypatch):
+    cfg = SweepConfig.default_qa()
+    want = run_sweep(cfg)
+
+    def refuse(self):
+        raise AssertionError("run_sweep validated an axis")
+
+    monkeypatch.setattr(SweepAxis, "__post_init__", refuse)
+    assert run_sweep(cfg) == want
 
 
 class TestQrSweep:
