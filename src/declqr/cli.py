@@ -140,7 +140,7 @@ def _cmd_sweep(args, out):
     if args.config is not None:
         cfg = sweepmod.SweepConfig.from_dict(sysfile.read_json(args.config, "config"))
     elif args.default is not None:
-        cfg = sweepmod.DEFAULT_CONFIGS[args.default]()
+        cfg = sweepmod.SweepConfig.from_dict({"kind": args.default})
     else:
         kinds = ",".join(sweepmod.DEFAULT_CONFIGS)
         raise InputError(f"sweep needs --config FILE or --default {{{kinds}}}")

@@ -87,15 +87,11 @@ def _augmented(sys):
     return A, B, Q, sys.R0
 
 
-def _solve(A, B, Q, R):
-    """solve_care on blocks this module has validated, as a stack of one."""
-    return _solve_care_validated(A[None], B[None], Q[None], R[None], [None]).item(0)
-
-
-def _staged(stage, fn):
-    """fn(), its error's message prefixed with the stage; class and attributes kept."""
+def _solve(stage, A, B, Q, R):
+    """solve_care on blocks this module has validated, as a stack of one; an
+    error's message is prefixed with the stage, its class and attributes kept."""
     try:
-        return fn()
+        return _solve_care_validated(A[None], B[None], Q[None], R[None], [None]).item(0)
     except (InputError, SolverError) as exc:
         exc.args = (f"{stage}: {exc}",)
         raise
@@ -110,14 +106,14 @@ def reduce_and_solve(sys):
     "stage-P2" or "stage-full").
     """
     n = sys.n
-    care1 = _staged("stage-P1", lambda: _solve(sys.A1, sys.B0, sys.Q0, sys.R0))
+    care1 = _solve("stage-P1", sys.A1, sys.B0, sys.Q0, sys.R0)
     P1 = care1.P
     Qbar = sys.Q2 + P1 + P1.T
     if not is_positive_definite(Qbar):
         raise SolverError("stage-P2: Qbar = Q2 + P1 + P1' is not positive definite")
-    care2 = _staged("stage-P2", lambda: _solve(sys.A2, sys.B0, Qbar, sys.R0))
+    care2 = _solve("stage-P2", sys.A2, sys.B0, Qbar, sys.R0)
 
-    full = _staged("stage-full", lambda: _solve(*_augmented(sys)))
+    full = _solve("stage-full", *_augmented(sys))
     agreement = max(
         float(_fro(full.K[:, :n] - care1.K)),
         float(_fro(full.K[:, n:] - care2.K)),

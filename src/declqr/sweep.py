@@ -22,9 +22,13 @@ significant digits, records sorted by grid indices, so identical configs give
 byte-identical files) plus a JSON sidecar with the config, summary statistics
 and (qa) the locus samples.
 
-A config's keys are SweepConfig's fields, and an axis's keys those of
-AXIS_KEYS, which from_dict reads and SweepAxis.to_dict writes; any other key is
-an InputError that names it.
+Each default in DEFAULT_CONFIGS is the config document a user would write,
+and SweepConfig.from_dict is the one way from a document to a config: it reads
+each axis over its kind's default axis, so `{"kind": "qa"}` is the default qa
+sweep. A config's keys are SweepConfig's fields and an axis's keys SweepAxis's,
+which to_dict writes back; any other key is an InputError that names it. A
+config of more than MAX_SWEEP_POINTS points (grid plus qa locus samples) is an
+InputError too, raised before any grid is built.
 """
 
 import math
@@ -59,8 +63,24 @@ def _qa_problem(q0, a2):
 PROBLEM_BUILDERS = {"qr": _qr_problem, "qa": _qa_problem}
 
 
-# Sweep-config axis key -> SweepAxis field, in the order to_dict writes them.
-AXIS_KEYS = {"name": "name", "min": "lo", "max": "hi", "steps": "steps", "spacing": "spacing"}
+# Sweep kind -> its default config document.
+DEFAULT_CONFIGS = {
+    "qr": {
+        "kind": "qr",
+        "axis1": {"name": "q0_over_q2", "min": 0.2, "max": 5.0, "steps": 21, "spacing": "log"},
+        "axis2": {"name": "gamma0_over_gamma2", "min": 0.2, "max": 5.0, "steps": 21, "spacing": "log"},
+    },
+    "qa": {
+        "kind": "qa",
+        "axis1": {"name": "q0", "min": 0.1, "max": 10.0, "steps": 21, "spacing": "log"},
+        "axis2": {"name": "a2_over_a0", "min": 0.1, "max": 10.0, "steps": 21, "spacing": "log"},
+        "curve_samples": 20,
+    },
+}
+
+# Most grid points plus locus samples a config may ask for; run_sweep's peak
+# memory grows by about 2 kB per point.
+MAX_SWEEP_POINTS = 10**6
 
 
 def _kinds(quote):
@@ -91,33 +111,30 @@ def _spaced(lo, hi, steps, spacing):
 @dataclass
 class SweepAxis:
     name: str
-    lo: float
-    hi: float
+    min: float
+    max: float
     steps: int
     spacing: str = "log"
 
     def __post_init__(self):
         self.name = _text(self.name, "axis name")
-        self.lo = as_real(self.lo, f"axis '{self.name}' min")
-        self.hi = as_real(self.hi, f"axis '{self.name}' max")
+        self.min = as_real(self.min, f"axis '{self.name}' min")
+        self.max = as_real(self.max, f"axis '{self.name}' max")
         self.steps = as_count(self.steps, f"axis '{self.name}' steps")
         if self.steps < 2:
             raise InputError(f"axis '{self.name}' needs at least 2 steps")
-        if not self.lo < self.hi:
-            raise InputError(f"axis '{self.name}' needs lo < hi")
+        if not self.min < self.max:
+            raise InputError(f"axis '{self.name}' needs min < max")
         if self.spacing not in ("log", "linear"):
             raise InputError(f"axis '{self.name}' spacing must be 'log' or 'linear'")
-        if self.spacing == "log" and self.lo <= 0:
-            raise InputError(f"axis '{self.name}' log spacing needs lo > 0")
-        # np.linspace steps by (hi - lo) / (steps - 1): the span must not overflow.
-        if self.spacing == "linear" and not math.isfinite(self.hi - self.lo):
+        if self.spacing == "log" and self.min <= 0:
+            raise InputError(f"axis '{self.name}' log spacing needs min > 0")
+        # np.linspace steps by (max - min) / (steps - 1): the span must not overflow.
+        if self.spacing == "linear" and not math.isfinite(self.max - self.min):
             raise InputError(f"axis '{self.name}' linear spacing needs a finite max - min")
 
     def grid(self):
-        return _spaced(self.lo, self.hi, self.steps, self.spacing)
-
-    def to_dict(self):
-        return {key: getattr(self, attr) for key, attr in AXIS_KEYS.items()}
+        return _spaced(self.min, self.max, self.steps, self.spacing)
 
 
 @dataclass
@@ -136,66 +153,50 @@ class SweepConfig:
             raise InputError("curve_samples must be at least 2")
         if self.output is not None:
             _text(self.output, "output")
-
-    @classmethod
-    def default_qr(cls):
-        return cls(
-            kind="qr",
-            axis1=SweepAxis("q0_over_q2", 0.2, 5.0, 21),
-            axis2=SweepAxis("gamma0_over_gamma2", 0.2, 5.0, 21),
-        )
-
-    @classmethod
-    def default_qa(cls):
-        return cls(
-            kind="qa",
-            axis1=SweepAxis("q0", 0.1, 10.0, 21),
-            axis2=SweepAxis("a2_over_a0", 0.1, 10.0, 21),
-        )
+        points = self.axis1.steps * self.axis2.steps
+        if self.kind == "qa":
+            points += self.curve_samples
+        if points > MAX_SWEEP_POINTS:
+            raise InputError(f"sweep has {points} points, more than the {MAX_SWEEP_POINTS} allowed")
 
     @classmethod
     def from_dict(cls, data):
+        """The config of document data, each axis read over its kind's default."""
         if not isinstance(data, dict):
             raise InputError("sweep config must be a JSON object")
         kind = data.get("kind")
         if not isinstance(kind, str) or kind not in DEFAULT_CONFIGS:
             raise InputError('sweep config needs "kind": ' + _kinds('"'))
         _reject_unknown(data, {f.name for f in fields(cls)}, "sweep config")
-        axes, base = [], None
+        axes = []
         for key in ("axis1", "axis2"):
-            spec = data.get(key)
+            spec, default = data.get(key), DEFAULT_CONFIGS[kind][key]
             if spec is None:
                 spec = {}
             elif not isinstance(spec, dict):
                 raise InputError(f"{key} must be an object")
-            _reject_unknown(spec, AXIS_KEYS, key)
-            if spec.keys() < AXIS_KEYS.keys():  # a missing or partial axis
-                base = base or DEFAULT_CONFIGS[kind]()
-                spec = {**getattr(base, key).to_dict(), **spec}
-            axes.append(SweepAxis(**{attr: spec[name] for name, attr in AXIS_KEYS.items()}))
-        return cls(
-            kind=kind,
-            axis1=axes[0],
-            axis2=axes[1],
-            curve_samples=data.get("curve_samples", cls.curve_samples),
-            output=data.get("output"),
-        )
+            _reject_unknown(spec, default, key)
+            axes.append(SweepAxis(**{**default, **spec}))
+        return cls(kind, *axes, data.get("curve_samples", cls.curve_samples), data.get("output"))
+
+    # bench/reference.py calls these two; a default is from_dict({"kind": kind}).
+    @classmethod
+    def default_qr(cls):
+        return cls.from_dict({"kind": "qr"})
+
+    @classmethod
+    def default_qa(cls):
+        return cls.from_dict({"kind": "qa"})
 
     def to_dict(self):
-        out = {
-            "kind": self.kind,
-            "axis1": self.axis1.to_dict(),
-            "axis2": self.axis2.to_dict(),
-        }
+        # An axis's instance dict is its fields in order; asdict builds the
+        # same dict at about ten times the cost (7 us against 0.6 us).
+        out = {"kind": self.kind, "axis1": dict(vars(self.axis1)), "axis2": dict(vars(self.axis2))}
         if self.kind == "qa":
             out["curve_samples"] = self.curve_samples
         if self.output is not None:
             out["output"] = self.output
         return out
-
-
-# Sweep kind -> its default config.
-DEFAULT_CONFIGS = {"qr": SweepConfig.default_qr, "qa": SweepConfig.default_qa}
 
 
 @dataclass
@@ -257,7 +258,7 @@ def run_sweep(cfg):
     x1, x2 = (g.ravel() for g in np.meshgrid(cfg.axis1.grid(), cfg.axis2.grid(), indexing="ij"))
     points = len(x1)
     ax2 = cfg.axis2
-    curve_a2 = _spaced(ax2.lo, ax2.hi, cfg.curve_samples, ax2.spacing) if cfg.kind == "qa" else []
+    curve_a2 = _spaced(ax2.min, ax2.max, cfg.curve_samples, ax2.spacing) if cfg.kind == "qa" else []
     locus = [a2 for a2 in curve_a2 if a2 > 0]
     with np.errstate(over="ignore"):  # q0 = inf at a subnormal a2 fails as bad data
         x1 = np.concatenate([x1, 1.0 / np.array(locus, dtype=float)])

@@ -204,11 +204,11 @@ def test_criterion_08_predator_prey_weight_ratio_identity():
 
 def test_criterion_09_sweep_properties():
     t0 = time.perf_counter()
-    qr = run_sweep(SweepConfig.default_qr())
+    qr = run_sweep(SweepConfig.from_dict({"kind": "qr"}))
     center = min(qr.records, key=lambda rec: abs(rec.axis1 - 1.0) + abs(rec.axis2 - 1.0))
     h2s = [rec.h2 for rec in qr.records if rec.status == "ok"]
     interior = min(h2s) < center.h2 < max(h2s)
-    qa = run_sweep(SweepConfig.default_qa())
+    qa = run_sweep(SweepConfig.from_dict({"kind": "qa"}))
     curve_ok = len(qa.curve) >= 20 and all(s.decentralized for s in qa.curve)
     curve_h2 = [s.h2 for s in qa.curve]
     variation = (max(curve_h2) - min(curve_h2)) / min(curve_h2)

@@ -575,6 +575,36 @@ class TestSweepCommand:
         assert status == 0
         assert len(out.read_text().strip().split("\n")) == 1 + 441
 
+    @pytest.mark.parametrize("kind", ["qr", "qa"])
+    def test_default_is_the_config_of_its_kind(self, tmp_path, kind):
+        # --default K runs the config document {"kind": K}.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"kind": kind}))
+        by_flag = run_cli(["sweep", "--default", kind, "--output", str(tmp_path / "a.csv")])
+        by_file = run_cli(["sweep", "--config", str(cfg_path), "--output", str(tmp_path / "b.csv")])
+        assert by_flag[0] == by_file[0] == 0
+        assert by_flag[1] == by_file[1].replace("b.csv", "a.csv").replace("b.json", "a.json")
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "cfg, points",
+        [
+            ({"kind": "qr", "axis1": {"steps": 1e20}}, 21 * 10**20),
+            ({"kind": "qa", "curve_samples": 1e20}, 21 * 21 + 10**20),
+        ],
+        ids=["qr-steps", "qa-curve-samples"],
+    )
+    def test_too_large_sweep_is_input_error(self, tmp_path, capsys, monkeypatch, cfg, points):
+        # np.linspace would raise ValueError: Maximum allowed size exceeded.
+        monkeypatch.chdir(tmp_path)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert run_cli(["sweep", "--config", str(cfg_path)]) == (1, "")
+        message = f"sweep has {points} points, more than the 1000000 allowed"
+        assert capsys.readouterr().err == f"input error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
     def test_byte_identical_reruns(self, tmp_path):
         cfg = {
             "kind": "qa",

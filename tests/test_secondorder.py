@@ -295,7 +295,7 @@ class TestGeneralInstances:
         def nonconvergent(*blocks):
             raise NonconvergentError("nonconvergent: residual 1e-03", residual=1e-3)
 
-        monkeypatch.setattr(secondorder, "_solve", nonconvergent)
+        monkeypatch.setattr(secondorder, "_solve_care_validated", nonconvergent)
         eye = np.eye(2)
         with pytest.raises(NonconvergentError, match="^stage-P1: nonconvergent") as excinfo:
             reduce_and_solve(SecondOrderSystem(A1=-eye, A2=-eye, B0=eye, Q0=eye, Q2=eye, R0=eye))

@@ -49,7 +49,7 @@ def _print(M):
 
 def _csv(bad):
     record = GridRecord(1.0, 2.0, bad, True, 0.0, "ok")
-    csv_text(SweepResult(config=SweepConfig.default_qr(), records=[record]))
+    csv_text(SweepResult(config=SweepConfig.from_dict({"kind": "qr"}), records=[record]))
 
 
 def _json(bad):

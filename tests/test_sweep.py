@@ -23,14 +23,22 @@ def small_qr_config(steps=5):
 
 class TestConfig:
     def test_defaults(self):
-        cfg = SweepConfig.default_qr()
+        cfg = SweepConfig.from_dict({"kind": "qr"})
         assert cfg.axis1.steps == cfg.axis2.steps == 21
-        assert cfg.axis1.lo == 0.2 and cfg.axis1.hi == 5.0
-        cfg = SweepConfig.default_qa()
-        assert cfg.axis1.lo == 0.1 and cfg.axis1.hi == 10.0
+        assert cfg.axis1.min == 0.2 and cfg.axis1.max == 5.0
+        cfg = SweepConfig.from_dict({"kind": "qa"})
+        assert cfg.axis1.min == 0.1 and cfg.axis1.max == 10.0
+
+    @pytest.mark.parametrize("kind", sweep.DEFAULT_CONFIGS)
+    def test_default_document_loads_and_round_trips(self, kind):
+        doc = sweep.DEFAULT_CONFIGS[kind]
+        assert doc["kind"] == kind
+        assert SweepConfig.from_dict(doc).to_dict() == doc
+        assert SweepConfig.from_dict(doc) == SweepConfig.from_dict({"kind": kind})
+        assert getattr(SweepConfig, f"default_{kind}")() == SweepConfig.from_dict(doc)
 
     def test_log_grid_hits_unit_midpoint(self):
-        grid = SweepConfig.default_qr().axis1.grid()
+        grid = SweepConfig.from_dict({"kind": "qr"}).axis1.grid()
         assert grid[10] == pytest.approx(1.0, abs=1e-12)
 
     def test_from_dict_overrides(self):
@@ -45,21 +53,13 @@ class TestConfig:
         assert cfg.axis2.steps == 21
         assert cfg.output == "out.csv"
 
-    def test_full_axes_build_no_default_config(self, monkeypatch):
+    def test_full_axes_build_no_default_config(self):
         want = SweepConfig("qa", SweepAxis("q0", 0.5, 4.0, 5), SweepAxis("a2", 0.25, 8.0, 3, "linear"),
                            curve_samples=20)
-
-        def refuse():
-            raise AssertionError("a default config was built")
-
-        for kind in sweep.DEFAULT_CONFIGS:
-            monkeypatch.setitem(sweep.DEFAULT_CONFIGS, kind, refuse)
-            monkeypatch.setattr(SweepConfig, f"default_{kind}", refuse)
-        data = {"kind": "qa", "axis1": want.axis1.to_dict(), "axis2": want.axis2.to_dict()}
-        assert SweepConfig.from_dict(data) == want
+        assert SweepConfig.from_dict(want.to_dict()) == want
 
     def test_round_trip_dict(self):
-        cfg = SweepConfig.default_qa()
+        cfg = SweepConfig.from_dict({"kind": "qa"})
         again = SweepConfig.from_dict(cfg.to_dict())
         assert again.to_dict() == cfg.to_dict()
 
@@ -71,16 +71,29 @@ class TestConfig:
             SweepConfig(kind="zz", axis1=axis, axis2=axis)
 
     def test_bad_axis_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^axis 'x' needs min < max$"):
             SweepAxis("x", 2.0, 1.0, 5)
         with pytest.raises(InputError):
             SweepAxis("x", 1.0, 2.0, 1)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^axis 'x' log spacing needs min > 0$"):
             SweepAxis("x", -1.0, 2.0, 5, spacing="log")
+
+    @pytest.mark.parametrize("kind, steps2, samples", [("qr", 1000, 2), ("qa", 999, 1000)])
+    def test_point_limit_is_checked_before_any_grid_is_built(self, monkeypatch, kind, steps2, samples):
+        # steps1 * steps2, plus curve_samples for qa, may reach 10**6 points.
+        def refuse(*args):
+            raise AssertionError("a grid was built")
+
+        monkeypatch.setattr(sweep, "_spaced", refuse)
+        data = {"kind": kind, "axis1": {"steps": 1000}, "curve_samples": samples}
+        assert SweepConfig.from_dict({**data, "axis2": {"steps": steps2}}).axis2.steps == steps2
+        message = "^sweep has 1001000 points, more than the 1000000 allowed$"
+        with pytest.raises(InputError, match=message):
+            SweepConfig.from_dict({**data, "axis2": {"steps": steps2 + 1}})
 
 
 def test_run_sweep_validates_no_axis(monkeypatch):
-    cfg = SweepConfig.default_qa()
+    cfg = SweepConfig.from_dict({"kind": "qa"})
     want = run_sweep(cfg)
 
     def refuse(self):
@@ -162,8 +175,8 @@ def _axes(spec1, spec2):
 
 
 PARITY_CONFIGS = {
-    "default-qr": SweepConfig.default_qr(),
-    "default-qa": SweepConfig.default_qa(),
+    "default-qr": SweepConfig.from_dict({"kind": "qr"}),
+    "default-qa": SweepConfig.from_dict({"kind": "qa"}),
     "qr-linear-across-0": SweepConfig("qr", *_axes((-2.0, 3.0, 6, "linear"), (-1.0, 1.0, 5, "linear"))),
     "qa-linear-across-0": SweepConfig(
         "qa", *_axes((-1.0, 1.0, 5, "linear"), (-2.0, 2.0, 5, "linear")), curve_samples=6
@@ -244,7 +257,7 @@ class TestQaSweep:
         # q0 = 1/a2 is inf at a2 = 1e-320: that weight is not SPD, so the
         # sample is excluded as bad data, and no overflow warning escapes.
         cfg = SweepConfig.from_dict({"kind": "qa", "axis2": {"min": 1e-320, "max": 1e10, "steps": 9}})
-        assert run_sweep(cfg).curve_excluded[0] == (cfg.axis2.lo, "InputError")
+        assert run_sweep(cfg).curve_excluded[0] == (cfg.axis2.min, "InputError")
 
     def test_cost_varies_along_curve(self):
         cfg = SweepConfig(
