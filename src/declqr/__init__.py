@@ -11,6 +11,7 @@ decentralization loci.
 from .decentral import (
     DecentralReport,
     DiagonalCost2x2,
+    Verdict,
     circulant_lqr_problem,
     circulant_pair_conditions,
     diagonal_cost_conditions,
@@ -57,6 +58,7 @@ from .secondorder import (
     reduce_and_solve,
 )
 from .spectral import (
+    MAX_RING_SIZE,
     CirculantSpec,
     circulant_eigenvalues,
     circulant_materialize,

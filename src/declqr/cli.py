@@ -30,16 +30,17 @@ def _print_matrix(name, M, out):
     out.write(f"{name}:\n" + "".join(f"  {row}\n" for row in rows))
 
 
+def _print_verdicts(verdicts, label, out):
+    """One line per Verdict: label, name, true|false, then the witness values
+    in parentheses when there are any."""
+    for v in verdicts:
+        witness = ", ".join(f"{k}={format_float(x)}" for k, x in v.witness.items())
+        extra = f"  ({witness})" if witness else ""
+        out.write(f"{label}{v.name}: {_bool(v.holds)}{extra}\n")
+
+
 def _print_report(report, out):
-    if report.analytic_verdicts:
-        for name, holds, witness in report.analytic_verdicts:
-            extra = ""
-            if witness:
-                extra = "  (" + ", ".join(
-                    f"{k}={format_float(v) if isinstance(v, float) else v}"
-                    for k, v in witness.items()
-                ) + ")"
-            out.write(f"condition {name}: {_bool(holds)}{extra}\n")
+    _print_verdicts(report.analytic_verdicts, "condition ", out)
     out.write(f"oracle decentralized: {_bool(report.oracle_decentralized)}\n")
     out.write(f"offdiag mass: {format_float(report.offdiag_mass)}\n")
     _print_matrix("K", report.K, out)
@@ -66,17 +67,15 @@ def _chamber_adjudication(system, report, uniform_gain, out):
     chamber = models.chamber_system(params)
     singular_b = decentral.frequency_singular(circulant_eigenvalues(system.payload[1]))
     prediction = not singular_b and uniform_gain() is not None
-    consistent = report.oracle_decentralized == prediction
+    oracle = report.oracle_decentralized
     out.write("chamber adjudication:\n")
-    out.write(
-        f"  magnitude balance (alpha vs beta ratios): {_bool(chamber.magnitude_condition)}\n"
-    )
-    out.write(
-        f"  entry balance (signed entries, a0 = -alpha0): {_bool(chamber.entry_condition)}\n"
-    )
-    out.write(f"  uniform-gain prediction (decentralized): {_bool(prediction)}\n")
-    out.write(f"  oracle decentralized: {_bool(report.oracle_decentralized)}\n")
-    out.write(f"  consistency (oracle matches prediction): {_bool(consistent)}\n")
+    _print_verdicts([
+        decentral.Verdict("magnitude balance (alpha vs beta ratios)", chamber.magnitude_condition),
+        decentral.Verdict("entry balance (signed entries, a0 = -alpha0)", chamber.entry_condition),
+        decentral.Verdict("uniform-gain prediction (decentralized)", prediction),
+        decentral.Verdict("oracle decentralized", oracle),
+        decentral.Verdict("consistency (oracle matches prediction)", oracle == prediction),
+    ], "  ", out)
 
 
 def _cmd_solve(args, out):
@@ -108,17 +107,8 @@ def _cmd_check(args, out):
             raise InputError("check thm1 needs a dense system file")
         prob = system.lqr_problem()
         sys2 = decentral.DiagonalCost2x2.from_problem(prob)
-        holds, details = decentral.diagonal_cost_conditions(sys2)
-        for key in decentral.DIAGONAL_COST_CONDITIONS:
-            out.write(f"condition {key}: {_bool(details[key])}\n")
-        out.write(
-            f"state ratio: {format_float(details['state_ratio'])}"
-            f" (target {format_float(details['state_ratio_target'])})\n"
-        )
-        out.write(
-            f"input ratio: {format_float(details['input_ratio'])}"
-            f" (target {format_float(details['input_ratio_target'])})\n"
-        )
+        holds, verdicts = decentral.diagonal_cost_conditions(sys2)
+        _print_verdicts(verdicts, "condition ", out)
         out.write(f"analytic holds: {_bool(holds)}\n")
     elif mode == "thm2":
         c = uniform_gain()

@@ -6,6 +6,7 @@ state that means a diagonal K. This module provides
 
 * a numeric oracle: solve the Riccati equation and test the gain's sparsity
   pattern,
+* Verdict, the one record of a named condition, its answer and witness,
 * the one map of 2x2 plants with B = I and diagonal Q, R to matrices and
   back (diagonal_cost_stack, DiagonalCost2x2.from_problem), the four
   conditions on them (sign pattern of the coupling plus two weight-ratio
@@ -86,10 +87,19 @@ def pattern_decentralized(K, allowed):
 
 
 @dataclass
+class Verdict:
+    """One named condition: whether it holds, and the values that witness the
+    answer, a map from name to float kept in the order they print."""
+
+    name: str
+    holds: bool
+    witness: dict = field(default_factory=dict)
+
+
+@dataclass
 class DecentralReport:
-    """Verdict bundle: the numeric-oracle decision and off-pattern mass of the
-    judged gain K, and analytic condition results as (name, holds, witness)
-    triples."""
+    """The numeric-oracle decision and off-pattern mass of the judged gain K,
+    and the analytic conditions judged alongside it, as Verdicts."""
 
     oracle_decentralized: bool
     offdiag_mass: float
@@ -125,11 +135,6 @@ def approx_equal(u, v, tol):
 # ---------------------------------------------------------------------------
 # 2x2 dynamics with B = I and diagonal Q, R
 # ---------------------------------------------------------------------------
-
-# The four conditions of diagonal_cost_conditions, in the order check thm1 prints them.
-DIAGONAL_COST_CONDITIONS = ("opposite_offdiag_signs", "same_diag_signs",
-                            "state_weight_ratio", "input_weight_ratio")
-
 
 def diagonal_cost_stack(a0, a1, a_minus1, a2, q0, q2, r0, r2):
     """Unvalidated (A, B, Q, R) of the plants [[a0, a1], [a_minus1, a2]] with
@@ -204,29 +209,24 @@ def diagonal_cost_conditions(sys):
     (iii) q0/q2 equals -a0 a_minus1 / (a1 a2) within RATIO_TOL;
     (iv)  gamma0/gamma2 equals (a1/a_minus1)^2 * q0/q2 within RATIO_TOL.
 
-    Returns (holds, details) where holds is the conjunction and details maps
-    each condition to its verdict plus the computed and target ratios.
+    Returns (holds, verdicts): the conjunction, and one Verdict per
+    condition in the order above, (iii) and (iv) witnessed by their ratio
+    and its target.
     """
     _require_nonzero_coupling(sys.a1, sys.a_minus1, sys.a2)
-    opposite = sys.a1 * sys.a_minus1 < 0
-    same = sys.a0 * sys.a2 > 0
     state_ratio = sys.q0 / sys.q2
     state_target = -sys.a0 * sys.a_minus1 / (sys.a1 * sys.a2)
     input_ratio = sys.gamma0 / sys.gamma2
     input_target = (sys.a1 / sys.a_minus1) ** 2 * state_ratio
-    state_ok = approx_equal(state_ratio, state_target, RATIO_TOL)
-    input_ok = approx_equal(input_ratio, input_target, RATIO_TOL)
-    details = {
-        "opposite_offdiag_signs": opposite,
-        "same_diag_signs": same,
-        "state_weight_ratio": state_ok,
-        "input_weight_ratio": input_ok,
-        "state_ratio": state_ratio,
-        "state_ratio_target": state_target,
-        "input_ratio": input_ratio,
-        "input_ratio_target": input_target,
-    }
-    return opposite and same and state_ok and input_ok, details
+    verdicts = [
+        Verdict("opposite_offdiag_signs", sys.a1 * sys.a_minus1 < 0),
+        Verdict("same_diag_signs", sys.a0 * sys.a2 > 0),
+        Verdict("state_weight_ratio", approx_equal(state_ratio, state_target, RATIO_TOL),
+                {"ratio": state_ratio, "target": state_target}),
+        Verdict("input_weight_ratio", approx_equal(input_ratio, input_target, RATIO_TOL),
+                {"ratio": input_ratio, "target": input_target}),
+    ]
+    return all(v.holds for v in verdicts), verdicts
 
 
 def synthesize_diagonal_cost(a0, a1, a_minus1, a2, q2=1.0, gamma2=1.0):
@@ -279,9 +279,9 @@ def diagonal_riccati_roots(sys):
     p0 = -a_minus1 p2 / a1; both are strictly positive when
     diagonal_cost_conditions holds (required).
     """
-    holds, details = diagonal_cost_conditions(sys)
+    holds, verdicts = diagonal_cost_conditions(sys)
     if not holds:
-        failed = [k for k in DIAGONAL_COST_CONDITIONS if not details[k]]
+        failed = [v.name for v in verdicts if not v.holds]
         raise InputError(f"conditions do not hold (failed: {', '.join(failed)})")
     p2 = float(_riccati_root(sys.a2, sys.gamma2, sys.q2))
     p0 = -sys.a_minus1 * p2 / sys.a1

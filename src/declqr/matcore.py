@@ -71,7 +71,10 @@ def as_real(value, name):
     raise InputError."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InputError(f"{name} must be a number, got {value!r}")
-    x = float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond the float range
+        raise InputError(f"{name} exceeds the float range") from None
     if not math.isfinite(x):
         raise InputError(f"{name} must be finite, got {value!r}")
     return x

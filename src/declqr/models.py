@@ -18,8 +18,8 @@ import numpy as np
 
 from .decentral import RATIO_TOL, DiagonalCost2x2, approx_equal, balance_ratio
 from .errors import InputError
-from .matcore import as_count, as_positive_real
-from .spectral import CirculantSpec, identity_spec
+from .matcore import as_positive_real
+from .spectral import CirculantSpec, _ring_size, identity_spec
 
 
 @dataclass
@@ -70,9 +70,10 @@ def diffusion_operator(n, delta=1.0):
 
     First row (1/delta^2) * [-2, 1, 0, ..., 0, 1]. Eigenvalues are
     (2 cos(2 pi k / n) - 2) / delta^2, all nonpositive. n = 2 would fold the
-    two neighbor offsets onto the same entry and is rejected.
+    two neighbor offsets onto the same entry and is rejected, as is an n
+    above spectral.MAX_RING_SIZE.
     """
-    n = as_count(n, "n")
+    n = _ring_size(n)
     if n < 3:
         raise InputError("wrap-around collision: the ring needs n >= 3 sites")
     delta = as_positive_real(delta, "delta")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decentral import DecentralReport, pattern_decentralized, position_velocity_neighborhoods
+from .decentral import DecentralReport, Verdict, pattern_decentralized, position_velocity_neighborhoods
 from .errors import InputError, SolverError
 from .matcore import _fro, _solve_care_validated, as_matrix, is_positive_definite, require_spd
 
@@ -147,25 +147,11 @@ def check_second_order_decentral(solution):
         position_velocity_neighborhoods(solution.gain_pos.shape[1]),
     )
     (full_ok, red_ok), (full_mass, red_mass) = conforms.tolist(), mass.tolist()
-    scale = max(
-        1.0,
-        float(_fro(solution.gain_pos)),
-        float(_fro(solution.gain_vel)),
-    )
+    scale = max(1.0, float(_fro(solution.gain_pos)), float(_fro(solution.gain_vel)))
+    agreement = solution.agreement_residual
     verdicts = [
-        ("reduced_gain_blocks_diagonal", red_ok, {"offdiag_mass": red_mass}),
-        (
-            "reduction_matches_full_solve",
-            solution.agreement_residual <= 1e-7 * scale,
-            {
-                "agreement_residual": solution.agreement_residual,
-                "corner_asymmetry": solution.corner_asymmetry,
-            },
-        ),
+        Verdict("reduced_gain_blocks_diagonal", red_ok, {"offdiag_mass": red_mass}),
+        Verdict("reduction_matches_full_solve", agreement <= 1e-7 * scale,
+                {"agreement_residual": agreement, "corner_asymmetry": solution.corner_asymmetry}),
     ]
-    return DecentralReport(
-        oracle_decentralized=full_ok,
-        offdiag_mass=full_mass,
-        K=solution.full_gain,
-        analytic_verdicts=verdicts,
-    )
+    return DecentralReport(full_ok, full_mass, solution.full_gain, verdicts)

@@ -14,7 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .matcore import as_real_array
+from .matcore import as_count, as_real_array
+
+# Most sites of a ring that identity_spec or models.diffusion_operator builds.
+MAX_RING_SIZE = 10 ** 7
 
 
 @dataclass
@@ -34,11 +37,20 @@ class CirculantSpec:
         return self.first_row.size
 
 
+def _ring_size(n):
+    """n read by as_count, refused above MAX_RING_SIZE before any allocation."""
+    n = as_count(n, "n")
+    if n > MAX_RING_SIZE:
+        raise InputError(f"n must be at most {MAX_RING_SIZE}, got {n}")
+    return n
+
+
 def identity_spec(n):
-    """CirculantSpec of the n x n identity."""
-    row = np.zeros(n)
-    row[0] = 1.0
-    return CirculantSpec(row)
+    """CirculantSpec of the n x n identity, 1 <= n <= MAX_RING_SIZE."""
+    n = _ring_size(n)
+    if n < 1:
+        raise InputError(f"n must be at least 1, got {n}")
+    return CirculantSpec(np.eye(1, n)[0])
 
 
 def circulant_materialize(spec):

@@ -1,10 +1,14 @@
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
+import declqr
 from declqr import CirculantSpec, SecondOrderSystem, decentral, identity_spec, lqr, matcore
 from declqr.cli import _build_parser, cli_main
 from declqr.sweep import SweepResult
@@ -149,6 +153,29 @@ class TestCheck:
         rows = text.split("K:\n")[1].splitlines()[:2]
         K = np.array([[float(x) for x in row.split()] for row in rows])
         assert np.max(np.abs(K - np.diag([3.0, 12.0]))) <= 1e-12 * 12.0
+
+    def test_thm1_output_on_the_synthesized_predprey_file(self, tmp_path):
+        path = tmp_path / "pp.json"
+        assert run_cli(["model", "predprey", "--r1", "2", "--r2", "1", "--k1", "1",
+                        "--k2", "1", "--b", "1", "--e", "1",
+                        "--decentralizing-cost", "--out", str(path)])[0] == 0
+        status, text = run_cli(["check", "thm1", "--system", str(path)])
+        head, tail = text.split("offdiag mass: ")
+        assert status == 0 and head == (
+            "check mode: thm1\n"
+            "condition opposite_offdiag_signs: true\n"
+            "condition same_diag_signs: true\n"
+            "condition state_weight_ratio: true  (ratio=2, target=2)\n"
+            "condition input_weight_ratio: true  (ratio=0.125, target=0.125)\n"
+            "analytic holds: true\n"
+            "oracle decentralized: true\n"
+        )
+        # The solver's last bits are left free: the off-diagonal entries of K
+        # are rounding noise, and K = R^-1 P = diag(p0/8, p2) = diag(1/6, 1/3).
+        mass, label, *rows = tail.splitlines()
+        assert float(mass) < 1e-15 and label == "K:" and len(rows) == 2
+        K = np.array([[float(x) for x in row.split()] for row in rows])
+        assert np.max(np.abs(K - np.diag([1 / 6, 1 / 3]))) <= 1e-15
 
     def test_thm1_rejects_coupled_cost(self, tmp_path):
         path = tmp_path / "coupled.json"
@@ -490,6 +517,22 @@ class TestModel:
         assert (status, text) == (1, "")
         assert capsys.readouterr().err == f"input error: {weights[0]} needs --decentralizing-cost\n"
 
+    def test_diffusion_size_beyond_the_limit_is_an_input_error(self, capsys):
+        status, text = run_cli(["model", "diffusion", "--n", "100000000000000000000"])
+        assert (status, text) == (1, "")
+        assert capsys.readouterr().err == (
+            "input error: n must be at most 10000000, got 100000000000000000000\n"
+        )
+
+    def test_unwritable_output_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.json"
+        status, text = run_cli(["model", "perf", "--out", str(path)])
+        assert (status, text) == (1, "")
+        assert capsys.readouterr().err == (
+            f"input error: cannot write system file: [Errno 2] No such file or directory: "
+            f"'{path}'\n"
+        )
+
     def test_diffusion_default_cost_is_identity(self):
         status, text = run_cli(["model", "diffusion", "--n", "4"])
         assert status == 0
@@ -554,6 +597,15 @@ class TestDocuments:
 
 
 class TestSweepCommand:
+    def test_unwritable_output_is_an_input_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "x.csv"
+        status, text = run_cli(["sweep", "--default", "qr", "--output", str(path)])
+        assert (status, text) == (1, "")
+        assert capsys.readouterr().err == (
+            f"input error: cannot write sweep output: [Errno 2] No such file or directory: "
+            f"'{path}'\n"
+        )
+
     def test_config_file_run(self, tmp_path):
         cfg = {
             "kind": "qr",
@@ -783,3 +835,37 @@ class TestUsage:
         assert status == 0 and "oracle decentralized:" in text
         assert outputs() == first
         assert (_build_parser.cache_info().misses, _build_parser.cache_info().hits) == (1, 4)
+
+
+class TestEntryPoint:
+    """python -m declqr.cli runs main(), which exits with cli_main's status."""
+
+    @staticmethod
+    def run_module(*args):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(declqr.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        return subprocess.run([sys.executable, "-m", "declqr.cli", *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    def test_success_exits_zero(self):
+        proc = self.run_module("model", "perf")
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["model"] == {"name": "perf", "q0": 1.0, "gamma2": 1.0}
+
+    def test_input_error_exits_one(self, tmp_path):
+        proc = self.run_module("solve", "--system", str(tmp_path / "missing.json"))
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("input error: cannot read system file")
+
+    def test_solver_failure_exits_two(self, tmp_path):
+        # The b-huge file of test_oracle_names_an_overflowing_hamiltonian.
+        path = tmp_path / "huge.json"
+        save_system(dense_document([[1.0, 1.0], [-1.0, 1.0]], np.diag([1e200, 1.0]),
+                                   np.eye(2), np.eye(2)), path)
+        proc = self.run_module("check", "oracle", "--system", str(path))
+        assert (proc.returncode, proc.stdout) == (2, "check mode: oracle\n")
+        assert proc.stderr == (
+            "solver failure: unstabilizable or ill-conditioned pair: "
+            "G = B R^-1 B' is not finite in 64-bit floats\n"
+        )

@@ -11,6 +11,7 @@ from declqr import (
     InputError,
     LqrProblem,
     UnstabilizableError,
+    Verdict,
     circulant_lqr_problem,
     circulant_pair_conditions,
     diagonal_cost_conditions,
@@ -107,6 +108,10 @@ class TestPatternDecentralized:
         with pytest.raises(InputError, match="boolean numpy array"):
             pattern_decentralized(np.eye(2), mask)
 
+    def test_one_dimensional_gain(self):
+        with pytest.raises(InputError, match=r"^K must be 2-D or a stack of 2-D gains, got ndim=1$"):
+            pattern_decentralized(np.ones(2), np.eye(2, dtype=bool))
+
     def test_empty_neighborhood(self):
         mask = np.eye(3, dtype=bool)
         mask[1, 1] = False
@@ -197,17 +202,40 @@ class TestOracleCheck:
 
 class TestDiagonalCostConditions:
     def test_worked_system_holds(self):
-        holds, details = diagonal_cost_conditions(worked_system())
-        assert holds
-        assert all(
-            details[k]
-            for k in (
-                "opposite_offdiag_signs",
-                "same_diag_signs",
-                "state_weight_ratio",
-                "input_weight_ratio",
-            )
-        )
+        holds, verdicts = diagonal_cost_conditions(worked_system())
+        assert holds is True
+        assert [(v.name, v.holds) for v in verdicts] == [
+            ("opposite_offdiag_signs", True),
+            ("same_diag_signs", True),
+            ("state_weight_ratio", True),
+            ("input_weight_ratio", True),
+        ]
+
+    @pytest.mark.parametrize(
+        "sys2, held, ratios",
+        [
+            # q0/q2 = 3/8 against -a0 a_minus1/(a1 a2) = 3/8; gamma0/gamma2 =
+            # 1/6 against (a1/a_minus1)^2 q0/q2 = (4/9)(3/8) = 1/6.
+            (worked_system(), [True] * 4, [(3 / 8, 3 / 8), (1 / 6, 1 / 6)]),
+            # The perf plant with q0 = 4: both ratios miss their targets.
+            (DiagonalCost2x2(1.0, 1.0, -1.0, 1.0, 4.0, 1.0, 1.0, 1.0),
+             [True, True, False, False], [(4.0, 1.0), (1.0, 4.0)]),
+        ],
+        ids=["worked", "detuned"],
+    )
+    def test_holds_then_four_verdicts_in_print_order(self, sys2, held, ratios):
+        holds, verdicts = diagonal_cost_conditions(sys2)
+        assert type(holds) is bool and holds == all(held)
+        assert all(type(v) is Verdict and type(v.holds) is bool for v in verdicts)
+        assert [v.name for v in verdicts] == [
+            "opposite_offdiag_signs", "same_diag_signs", "state_weight_ratio", "input_weight_ratio"
+        ]
+        assert [v.holds for v in verdicts] == held
+        assert [v.witness for v in verdicts[:2]] == [{}, {}]
+        for v, (ratio, target) in zip(verdicts[2:], ratios):
+            assert list(v.witness) == ["ratio", "target"]
+            assert v.witness == {"ratio": pytest.approx(ratio, rel=1e-15),
+                                 "target": pytest.approx(target, rel=1e-15)}
 
     def test_unit_ratios_hold(self):
         sys2 = DiagonalCost2x2(
@@ -220,9 +248,9 @@ class TestDiagonalCostConditions:
         sys2 = DiagonalCost2x2(
             a0=1.0, a1=1.0, a_minus1=1.0, a2=1.0, q0=1.0, q2=1.0, gamma0=1.0, gamma2=1.0
         )
-        holds, details = diagonal_cost_conditions(sys2)
+        holds, verdicts = diagonal_cost_conditions(sys2)
         assert not holds
-        assert not details["opposite_offdiag_signs"]
+        assert verdicts[0].name == "opposite_offdiag_signs" and not verdicts[0].holds
 
     def test_conditions_are_sufficient_not_necessary(self):
         # The self terms differ in sign and both ratios miss their targets,
@@ -230,12 +258,14 @@ class TestDiagonalCostConditions:
         sys2 = DiagonalCost2x2(
             a0=1.0, a1=1.0, a_minus1=-1.0, a2=-2.0, q0=2.0, q2=5.0, gamma0=4.0, gamma2=1.0
         )
-        holds, details = diagonal_cost_conditions(sys2)
+        holds, verdicts = diagonal_cost_conditions(sys2)
         assert not holds
-        assert details["opposite_offdiag_signs"]
-        assert not details["same_diag_signs"]
-        assert not details["state_weight_ratio"]
-        assert not details["input_weight_ratio"]
+        assert [(v.name, v.holds) for v in verdicts] == [
+            ("opposite_offdiag_signs", True),
+            ("same_diag_signs", False),
+            ("state_weight_ratio", False),
+            ("input_weight_ratio", False),
+        ]
         report = oracle_check(sys2.lqr_problem())
         assert report.oracle_decentralized
         assert np.allclose(report.K, np.diag([4.0, 1.0]), atol=1e-10)

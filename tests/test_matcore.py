@@ -17,6 +17,7 @@ from declqr import (
     solve_care_stack,
     solve_lyapunov,
 )
+from declqr.matcore import as_matrix, as_real
 from declqr.sweep import PROBLEM_BUILDERS
 from helpers import random_spd, random_stabilizable_dense, solved_random_instance
 
@@ -637,6 +638,24 @@ class TestLstsqReadOff:
         assert not X[5].any()
 
 
+class TestConverters:
+    @pytest.mark.parametrize(
+        "M, shape, message",
+        [([1.0, 2.0], {}, "M must be 2-D, got ndim=1"),
+         (np.eye(2), {"cols": 3}, "M must have 3 columns, got 2")],
+        ids=["one-dimensional", "columns"],
+    )
+    def test_as_matrix_refuses_a_wrong_shape(self, M, shape, message):
+        with pytest.raises(InputError) as info:
+            as_matrix(M, "M", **shape)
+        assert str(info.value) == message
+
+    def test_as_real_refuses_an_int_beyond_the_float_range(self):
+        with pytest.raises(InputError) as info:
+            as_real(10**400, "x")
+        assert str(info.value) == "x exceeds the float range"
+
+
 class TestStackedPublicFunctions:
     """solve_lyapunov, is_hurwitz and require_spd judge a stack item by item,
     as the one-matrix calls would."""
@@ -661,6 +680,11 @@ class TestStackedPublicFunctions:
             assert errors[i] is None and np.array_equal(X[i], alone)
         assert [type(e) for e in errors[1:3]] == [ResonantSpectrumError, InputError]
         assert isinstance(errors[4], InputError)
+
+    def test_solve_lyapunov_stacks_of_unequal_length(self):
+        with pytest.raises(InputError) as info:
+            solve_lyapunov(np.array([-np.eye(2)] * 2), np.array([np.eye(2)] * 3))
+        assert str(info.value) == "Q must stack as many matrices as A"
 
     def test_is_hurwitz_stack(self):
         A = np.array([-np.eye(2), [[0.0, 1.0], [-1.0, 0.0]], np.diag([1e-12, -1.0]), np.zeros((2, 2))])

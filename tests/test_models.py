@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from declqr import (
+    MAX_RING_SIZE,
     ChamberParams,
     CirculantSpec,
     DiagonalCost2x2,
@@ -130,10 +131,25 @@ class TestDiffusion:
             diffusion_operator(2, 1.0)
 
     @pytest.mark.parametrize("n", [4.7, "5", True, None], ids=["fraction", "string", "boolean", "null"])
-    @pytest.mark.parametrize("build", [diffusion_operator])
+    @pytest.mark.parametrize("build", [diffusion_operator, identity_spec])
     def test_site_count_must_be_an_integer(self, build, n):
         with pytest.raises(InputError, match="n must be"):
             build(n)
+
+    # Only sizes above the limit: each is refused before anything is allocated.
+    @pytest.mark.parametrize(
+        "n, message",
+        [(MAX_RING_SIZE + 1, "n must be at most 10000000, got 10000001"),
+         (10**20, "n must be at most 10000000, got 100000000000000000000"),
+         (2**62, "n must be at most 10000000, got 4611686018427387904"),
+         (10**400, "n exceeds the float range")],
+        ids=["limit-plus-one", "1e20", "2^62", "beyond-float"],
+    )
+    @pytest.mark.parametrize("build", [diffusion_operator, identity_spec])
+    def test_site_count_above_the_limit_is_refused(self, build, n, message):
+        with pytest.raises(InputError) as info:
+            build(n)
+        assert str(info.value) == message
 
     def test_integral_float_site_count_accepted(self):
         assert diffusion_operator(5.0).n == 5
@@ -260,14 +276,14 @@ class TestPerfExample:
         assert not report.oracle_decentralized
 
     def test_conditions_on_detuned_weight(self):
-        holds, details = diagonal_cost_conditions(
+        holds, verdicts = diagonal_cost_conditions(
             DiagonalCost2x2(
                 a0=1.0, a1=1.0, a_minus1=-1.0, a2=1.0,
                 q0=4.0, q2=1.0, gamma0=1.0, gamma2=1.0,
             )
         )
         assert not holds
-        assert not details["state_weight_ratio"]
+        assert verdicts[2].name == "state_weight_ratio" and not verdicts[2].holds
 
     def test_nonpositive_weights_rejected(self):
         with pytest.raises(InputError):

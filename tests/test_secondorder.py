@@ -124,9 +124,10 @@ class TestDiffusionReduction:
         # The stacked judgment gives each gain the Python bool and float of
         # its own pattern test.
         mask = position_velocity_neighborhoods(4)
-        _, red_ok, witness = report.analytic_verdicts[0]
+        reduced = report.analytic_verdicts[0]
         for got, gain in (((report.oracle_decentralized, report.offdiag_mass), sol.full_gain),
-                          ((red_ok, witness["offdiag_mass"]), np.hstack([sol.gain_pos, sol.gain_vel]))):
+                          ((reduced.holds, reduced.witness["offdiag_mass"]),
+                           np.hstack([sol.gain_pos, sol.gain_vel]))):
             assert got == pattern_decentralized(gain, mask)
             assert [type(v) for v in got] == [bool, float]
 
@@ -183,11 +184,10 @@ class TestTwoByTwoDiagonalStages:
         assert sol.agreement_residual > 1e-4
         report = check_second_order_decentral(sol)
         assert not report.oracle_decentralized
-        names = [name for name, _, _ in report.analytic_verdicts]
-        assert "reduced_gain_blocks_diagonal" in names
-        verdicts = dict((name, holds) for name, holds, _ in report.analytic_verdicts)
-        assert verdicts["reduced_gain_blocks_diagonal"]
-        assert not verdicts["reduction_matches_full_solve"]
+        assert [(v.name, v.holds) for v in report.analytic_verdicts] == [
+            ("reduced_gain_blocks_diagonal", True),
+            ("reduction_matches_full_solve", False),
+        ]
 
 
 class TestSymmetricCirculantFamily:

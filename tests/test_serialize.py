@@ -34,6 +34,22 @@ def test_row_helper_matches_format_float(values):
     assert _format_rows(np.array(values)[:, None], ",") == expected
 
 
+def test_non_finite_float_is_refused():
+    with pytest.raises(InputError, match="^cannot serialize a non-finite float$"):
+        format_float(float("nan"))
+
+
+def test_integer_arrays_in_json_go_through_their_lists():
+    assert dumps_json({"i": np.array([[1, -2], [3, 4]]), "b": np.array([True])}) == (
+        '{"b": [true], "i": [[1, -2], [3, 4]]}'
+    )
+
+
+def test_unsupported_type_in_json_is_refused():
+    with pytest.raises(InputError, match="^cannot serialize value of type set$"):
+        dumps_json({"x": [{1, 2}]})
+
+
 def test_float_arrays_in_json_keep_their_nesting():
     M = np.array([[0.1, -0.0], [1e17, 5e-324]])
     assert dumps_json({"M": M, "v": M[0], "e": np.zeros((0, 2))}) == (

@@ -11,6 +11,14 @@ from declqr import (
 from helpers import is_circulant, symmetric_circulant_row
 
 
+class TestIdentitySpec:
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_or_negative_size_is_refused(self, n):
+        with pytest.raises(InputError) as info:
+            identity_spec(n)
+        assert str(info.value) == f"n must be at least 1, got {n}"
+
+
 class TestCirculantMaterialize:
     def test_two_by_two_is_symmetric(self):
         M = circulant_materialize(CirculantSpec([3.0, -1.0]))
