@@ -23,6 +23,7 @@ matcore._fro, which stays finite for finite entries, so entries above about
 1.3e154 cannot pass against an infinite scale.
 """
 
+import math
 from dataclasses import astuple, dataclass, field
 
 import numpy as np
@@ -128,8 +129,10 @@ def oracle_check(prob):
 
 
 def approx_equal(u, v, tol):
-    """Symmetric relative closeness; safe when either value is zero."""
-    return abs(u - v) <= tol * max(1.0, abs(u), abs(v))
+    """Symmetric relative closeness; safe when either value is zero, and
+    false unless both are finite."""
+    finite = math.isfinite(u) and math.isfinite(v)
+    return finite and abs(u - v) <= tol * max(1.0, abs(u), abs(v))
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +214,19 @@ def diagonal_cost_conditions(sys):
 
     Returns (holds, verdicts): the conjunction, and one Verdict per
     condition in the order above, (iii) and (iv) witnessed by their ratio
-    and its target.
+    and its target, each of which must be finite (an InputError names it).
     """
     _require_nonzero_coupling(sys.a1, sys.a_minus1, sys.a2)
     state_ratio = sys.q0 / sys.q2
-    state_target = -sys.a0 * sys.a_minus1 / (sys.a1 * sys.a2)
     input_ratio = sys.gamma0 / sys.gamma2
-    input_target = (sys.a1 / sys.a_minus1) ** 2 * state_ratio
+    try:
+        state_target = -sys.a0 * sys.a_minus1 / (sys.a1 * sys.a2)
+    except ZeroDivisionError:  # a1 * a2 underflows to 0, where float arithmetic gives inf
+        state_target = math.inf
+    try:
+        input_target = (sys.a1 / sys.a_minus1) ** 2 * state_ratio
+    except OverflowError:  # a float power raises where float arithmetic gives inf
+        input_target = math.inf
     verdicts = [
         Verdict("opposite_offdiag_signs", sys.a1 * sys.a_minus1 < 0),
         Verdict("same_diag_signs", sys.a0 * sys.a2 > 0),
@@ -226,6 +235,10 @@ def diagonal_cost_conditions(sys):
         Verdict("input_weight_ratio", approx_equal(input_ratio, input_target, RATIO_TOL),
                 {"ratio": input_ratio, "target": input_target}),
     ]
+    for v in verdicts:
+        for key, value in v.witness.items():
+            if not math.isfinite(value):
+                raise InputError(f"condition {v.name}: its {key} is not finite")
     return all(v.holds for v in verdicts), verdicts
 
 

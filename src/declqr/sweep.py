@@ -13,14 +13,12 @@ one default config in DEFAULT_CONFIGS; run_sweep solves the whole stack at once:
 
 The grid points (and the qa locus samples) go through one
 matcore.solve_care_stack call and one decentral.pattern_decentralized call on
-the stack of gains; each becomes a GridRecord of h2 = sqrt(trace P), the
-oracle decentralization verdict and off-pattern mass, and a failed solve
-carries its status tag instead of a fabricated value. The locus keeps its
-solved records as SweepResult.curve and each other a2, with its reason, in
-curve_excluded. Output is a CSV (fixed column order, floats with 17
-significant digits, records sorted by grid indices, so identical configs give
-byte-identical files) plus a JSON sidecar with the config, summary statistics
-and (qa) the locus samples.
+the stack of gains, whose arrays are the columns of a SweepResult table:
+h2 = sqrt(trace P), the oracle decentralization verdict and off-pattern mass,
+and a failed solve's status tag instead of a fabricated value. Output is a CSV
+(fixed column order, floats with 17 significant digits, rows in grid order, so
+identical configs give byte-identical files) plus a JSON sidecar with the
+config, summary statistics and (qa) the locus samples.
 
 Each default in DEFAULT_CONFIGS is the config document a user would write,
 and SweepConfig.from_dict is the one way from a document to a config: it reads
@@ -33,7 +31,7 @@ InputError too, raised before any grid is built.
 
 import math
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -43,6 +41,7 @@ from .errors import InputError
 from .matcore import as_count, as_real, solve_care_stack
 from .serialize import _format_rows, dumps_json
 
+# SweepResult's columns, in the CSV's order.
 CSV_COLUMNS = ("axis1", "axis2", "h2", "decentralized", "offdiag_mass", "status")
 
 
@@ -79,7 +78,7 @@ DEFAULT_CONFIGS = {
 }
 
 # Most grid points plus locus samples a config may ask for; run_sweep's peak
-# memory grows by about 2 kB per point.
+# memory grows by about 1.3 kB per point, the stacked solve's temporaries.
 MAX_SWEEP_POINTS = 10**6
 
 
@@ -199,48 +198,56 @@ class SweepConfig:
         return out
 
 
-@dataclass
-class GridRecord:
-    axis1: float
-    axis2: float
-    h2: Optional[float]
-    decentralized: Optional[bool]
-    offdiag_mass: Optional[float]
-    status: str
-
-
-@dataclass
+@dataclass(eq=False)
 class SweepResult:
+    """A sweep as one table: row i holds entry i of the arrays axis1, axis2,
+    h2, decentralized and offdiag_mass and of the list status ("ok", or the
+    failed solve's error class and a NaN h2). The first `points` rows are the
+    grid, axis1 major, so h2[:points] reshapes to (axis1.steps, axis2.steps);
+    a "qa" sweep adds a row per locus sample (1/a2, a2) with a2 > 0.
+    curve_excluded lists each other a2 and each failed one, with its reason.
+    """
+
     config: SweepConfig
-    records: list
-    curve: list = field(default_factory=list)
-    curve_excluded: list = field(default_factory=list)
+    points: int
+    axis1: np.ndarray
+    axis2: np.ndarray
+    h2: np.ndarray
+    decentralized: np.ndarray
+    offdiag_mass: np.ndarray
+    status: list
+    curve_excluded: list
+
+    def _solved(self, start, stop=None):
+        """Indices of the solved rows from start to stop."""
+        return start + np.flatnonzero([s == "ok" for s in self.status[start:stop]])
 
     def summary(self):
-        solved = [r for r in self.records if r.status == "ok"]
+        grid = self._solved(0, self.points)
         out = {
-            "points": len(self.records),
-            "solved": len(solved),
-            "failed": len(self.records) - len(solved),
-            "decentralized_count": sum(1 for r in solved if r.decentralized),
+            "points": self.points,
+            "solved": len(grid),
+            "failed": self.points - len(grid),
+            "decentralized_count": int(np.count_nonzero(self.decentralized[grid])),
         }
-        if solved:
-            lo = min(solved, key=lambda r: r.h2)
-            hi = max(solved, key=lambda r: r.h2)
+        if len(grid):
+            h2 = self.h2[grid]
+            lo, hi = grid[h2.argmin()], grid[h2.argmax()]
             out.update(
-                h2_min=lo.h2,
-                h2_max=hi.h2,
-                argmin=[lo.axis1, lo.axis2],
-                argmax=[hi.axis1, hi.axis2],
+                h2_min=float(self.h2[lo]),
+                h2_max=float(self.h2[hi]),
+                argmin=[float(self.axis1[lo]), float(self.axis2[lo])],
+                argmax=[float(self.axis1[hi]), float(self.axis2[hi])],
             )
-        if self.curve:
-            h2s = [s.h2 for s in self.curve]
+        curve = self._solved(self.points)
+        if len(curve):
+            h2 = self.h2[curve]
             out["curve"] = {
-                "samples": len(self.curve),
+                "samples": len(curve),
                 "excluded": len(self.curve_excluded),
-                "h2_min": min(h2s),
-                "h2_max": max(h2s),
-                "all_decentralized": all(s.decentralized for s in self.curve),
+                "h2_min": float(h2.min()),
+                "h2_max": float(h2.max()),
+                "all_decentralized": bool(self.decentralized[curve].all()),
             }
         return out
 
@@ -249,19 +256,19 @@ def run_sweep(cfg):
     """Evaluate every grid point of cfg with its kind's problem builder.
 
     A "qa" sweep also samples the locus q0 = 1/a2 (so gamma2 = a2) at
-    curve_samples values of a2 spaced like axis2, as the records of the
-    points (1/a2, a2). Samples with a2 <= 0 break the same-sign condition on
-    the self terms and are excluded with a reason, as are samples whose solve
-    fails, with its status (a subnormal a2 gives q0 = inf, bad data). Grid and
-    locus are solved as one stack.
+    curve_samples values of a2 spaced like axis2, as the rows of the points
+    (1/a2, a2). Samples with a2 <= 0 break the same-sign condition on the
+    self terms and are excluded with a reason, as are samples whose solve
+    fails, with its status (a subnormal a2 gives q0 = inf, bad data). Grid
+    and locus are solved as one stack.
     """
     x1, x2 = (g.ravel() for g in np.meshgrid(cfg.axis1.grid(), cfg.axis2.grid(), indexing="ij"))
     points = len(x1)
-    ax2 = cfg.axis2
-    curve_a2 = _spaced(ax2.min, ax2.max, cfg.curve_samples, ax2.spacing) if cfg.kind == "qa" else []
-    locus = [a2 for a2 in curve_a2 if a2 > 0]
+    samples = cfg.curve_samples if cfg.kind == "qa" else 0
+    curve_a2 = _spaced(cfg.axis2.min, cfg.axis2.max, samples, cfg.axis2.spacing)
+    locus = curve_a2[curve_a2 > 0]
     with np.errstate(over="ignore"):  # q0 = inf at a subnormal a2 fails as bad data
-        x1 = np.concatenate([x1, 1.0 / np.array(locus, dtype=float)])
+        x1 = np.concatenate([x1, 1.0 / locus])
     x2 = np.concatenate([x2, locus])
     sol = solve_care_stack(*PROBLEM_BUILDERS[cfg.kind](x1, x2))
     solved = np.array([exc is None for exc in sol.errors], dtype=bool)
@@ -270,42 +277,26 @@ def run_sweep(cfg):
         decentralized[solved], mass[solved] = pattern_decentralized(
             sol.K[solved], single_station_neighborhoods(2)
         )
-    rows = zip(
-        x1.tolist(), x2.tolist(), sol.h2.tolist(), decentralized.tolist(), mass.tolist(),
-        sol.errors,
-    )
-    records = [
-        GridRecord(a1, a2, h2, dec, off, "ok") if exc is None
-        else GridRecord(a1, a2, None, None, None, type(exc).__name__)
-        for a1, a2, h2, dec, off, exc in rows
-    ]
-    result = SweepResult(config=cfg, records=records[:points])
-    on_locus = iter(records[points:])
-    for a2 in curve_a2:
-        if a2 <= 0:
-            result.curve_excluded.append((float(a2), "a2 <= 0 breaks the same-sign condition"))
-        elif (rec := next(on_locus)).status == "ok":
-            result.curve.append(rec)
-        else:
-            result.curve_excluded.append((float(a2), rec.status))
-    return result
+    status = ["ok" if exc is None else type(exc).__name__ for exc in sol.errors]
+    # curve_a2 ascends, so its a2 <= 0 come first.
+    excluded = [(a2, "a2 <= 0 breaks the same-sign condition")
+                for a2 in curve_a2[curve_a2 <= 0].tolist()]
+    excluded += [(a2, s) for a2, s in zip(locus.tolist(), status[points:]) if s != "ok"]
+    return SweepResult(cfg, points, x1, x2, sol.h2, decentralized, mass, status, excluded)
 
 
 def csv_text(result):
     """Deterministic CSV body: header then one row per grid point. The 0/1
     decentralized cell is formatted with its row's floats, where 1.0 and 0.0
     print as 1 and 0."""
-    records = result.records
-    solved = [(r.axis1, r.axis2, r.h2, r.decentralized, r.offdiag_mass)
-              for r in records if r.status == "ok"]
-    failed = [(r.axis1, r.axis2) for r in records if r.status != "ok"]
-    solved = iter(_format_rows(solved, ","))
-    failed = iter(_format_rows(failed, ","))
+    n = result.points
+    status = result.status[:n]
+    ok = result._solved(0, n)
+    table = np.column_stack([getattr(result, name)[:n] for name in CSV_COLUMNS[:-1]])
+    solved = iter(_format_rows(table[ok], ","))
+    failed = iter(_format_rows(np.delete(table[:, :2], ok, axis=0), ","))
     lines = [",".join(CSV_COLUMNS)]
-    lines += [
-        f"{next(solved)},ok" if r.status == "ok" else f"{next(failed)},,,,{r.status}"
-        for r in records
-    ]
+    lines += [f"{next(solved)},ok" if s == "ok" else f"{next(failed)},,,,{s}" for s in status]
     return "\n".join(lines) + "\n"
 
 
@@ -314,16 +305,11 @@ def sidecar_dict(result, summary=None):
     the caller has it already."""
     data = {"config": result.config.to_dict(), "summary": summary or result.summary()}
     if result.config.kind == "qa":
+        curve = result._solved(result.points)
+        rows = zip(*(getattr(result, name)[curve].tolist() for name in CSV_COLUMNS[:-1]))
         data["curve"] = [
-            {
-                "a2": s.axis2,
-                "q0": s.axis1,
-                "gamma2": s.axis2,
-                "h2": s.h2,
-                "decentralized": s.decentralized,
-                "offdiag_mass": s.offdiag_mass,
-            }
-            for s in result.curve
+            {"a2": a2, "q0": q0, "gamma2": a2, "h2": h2, "decentralized": dec, "offdiag_mass": mass}
+            for q0, a2, h2, dec, mass in rows
         ]
         data["curve_excluded"] = [
             {"a2": a2, "reason": reason} for (a2, reason) in result.curve_excluded

@@ -85,7 +85,7 @@ class SystemFile:
             return LqrProblem(*self.payload)
         if self.kind == "circulant":
             return circulant_lqr_problem(*self.payload)
-        raise InputError("second-order system files solve through 'reduce', not 'solve'")
+        raise InputError("second-order system files solve only through 'reduce'")
 
     def second_order_system(self):
         if self.kind != "second_order":

@@ -205,20 +205,23 @@ def test_criterion_08_predator_prey_weight_ratio_identity():
 def test_criterion_09_sweep_properties():
     t0 = time.perf_counter()
     qr = run_sweep(SweepConfig.from_dict({"kind": "qr"}))
-    center = min(qr.records, key=lambda rec: abs(rec.axis1 - 1.0) + abs(rec.axis2 - 1.0))
-    h2s = [rec.h2 for rec in qr.records if rec.status == "ok"]
-    interior = min(h2s) < center.h2 < max(h2s)
+    grid = slice(qr.points)
+    center = np.argmin(np.abs(qr.axis1[grid] - 1.0) + np.abs(qr.axis2[grid] - 1.0))
+    h2s = qr.h2[grid][np.array(qr.status[grid]) == "ok"]
+    interior = min(h2s) < qr.h2[center] < max(h2s)
     qa = run_sweep(SweepConfig.from_dict({"kind": "qa"}))
-    curve_ok = len(qa.curve) >= 20 and all(s.decentralized for s in qa.curve)
-    curve_h2 = [s.h2 for s in qa.curve]
+    curve = qa.points + np.flatnonzero(np.array(qa.status[qa.points:]) == "ok")
+    curve_ok = len(curve) >= 20 and all(qa.decentralized[curve])
+    curve_h2 = qa.h2[curve]
     variation = (max(curve_h2) - min(curve_h2)) / min(curve_h2)
     elapsed = time.perf_counter() - t0
-    ok = center.decentralized and interior and curve_ok and variation > 0.10 and elapsed < 0.1
+    center_ok = bool(qr.decentralized[center])
+    ok = center_ok and interior and curve_ok and variation > 0.10 and elapsed < 0.1
     assert report(
         9,
         ok,
-        f"center decentralized={center.decentralized}, interior={interior}, "
-        f"{len(qa.curve)} curve samples all decentralized={curve_ok}, "
+        f"center decentralized={center_ok}, interior={interior}, "
+        f"{len(curve)} curve samples all decentralized={curve_ok}, "
         f"variation {100 * variation:.0f}%, {elapsed:.1f} s",
     )
 
@@ -296,14 +299,15 @@ def test_criterion_12_ten_thousand_point_sweep():
     t0 = time.perf_counter()
     result = run_sweep(cfg)
     elapsed = time.perf_counter() - t0
-    center = min(result.records, key=lambda rec: abs(rec.axis1 - 1.0) + abs(rec.axis2 - 1.0))
-    solved = sum(rec.status == "ok" for rec in result.records)
-    ok = len(result.records) == 10_000 and solved == 10_000 and center.decentralized and elapsed < 0.5
+    center = np.argmin(np.abs(result.axis1 - 1.0) + np.abs(result.axis2 - 1.0))
+    center_ok = bool(result.decentralized[center])
+    solved = result.status.count("ok")
+    ok = result.points == 10_000 and solved == 10_000 and center_ok and elapsed < 0.5
     assert report(
         12,
         ok,
-        f"{solved}/{len(result.records)} points solved, point nearest (1, 1) "
-        f"decentralized={center.decentralized}, {elapsed:.2f} s",
+        f"{solved}/{result.points} points solved, point nearest (1, 1) "
+        f"decentralized={center_ok}, {elapsed:.2f} s",
     )
 
 

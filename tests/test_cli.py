@@ -76,6 +76,8 @@ CHAMBER_FILE = (
 )
 
 CHAMBER_TAG = {"alpha0": 3, "alpha1": 1, "beta0": 3, "beta1": 1}
+SECOND_ORDER_FILE = ('{"kind": "second_order", "A1": [[-1]], "A2": [[-1]], "B0": [[1]], '
+                     '"Q0": [[1]], "Q2": [[1]], "R0": [[1]]}')
 
 
 class TestSystemFileErrors:
@@ -119,9 +121,13 @@ class TestSystemFileErrors:
     @pytest.mark.parametrize(
         "command, text, shown, message",
         [
-            ("solve", '{"kind": "second_order", "A1": [[-1]], "A2": [[-1]], "B0": [[1]], '
-             '"Q0": [[1]], "Q2": [[1]], "R0": [[1]]}',
-             "", "second-order system files solve through 'reduce', not 'solve'"),
+            ("solve", SECOND_ORDER_FILE,
+             "", "second-order system files solve only through 'reduce'"),
+            ("check oracle", SECOND_ORDER_FILE,
+             "check mode: oracle\n", "second-order system files solve only through 'reduce'"),
+            ("check thm1", '{"kind": "dense", "A": [[1, 1], [-1, 1]], "B": [[1, 0], [0, 1]], '
+             '"Q": [[1e300, 0], [0, 1e-300]], "R": [[1, 0], [0, 1]]}',
+             "check mode: thm1\n", "condition state_weight_ratio: its ratio is not finite"),
             ("check thm2", '{"kind": "dense", "A": [[-1]], "B": [[1]], "Q": [[1]], "R": [[1]]}',
              "check mode: thm2\n", "expected a circulant system file, got kind 'dense'"),
             ("check cor3", '{"kind": "circulant", "A_first_row": [-3, 1, 1], '
@@ -133,7 +139,8 @@ class TestSystemFileErrors:
             ("solve", '{"kind": "sparse", "A": [[-1]]}',
              "", "system file 'kind' must be one of: dense, circulant, second_order"),
         ],
-        ids=["solve-second-order", "thm2-dense", "cor3-size-3", "model-not-object", "unknown-kind"],
+        ids=["solve-second-order", "check-oracle-second-order", "thm1-ratio-overflows",
+             "thm2-dense", "cor3-size-3", "model-not-object", "unknown-kind"],
     )
     def test_refusal_names_its_cause(self, tmp_path, capsys, command, text, shown, message):
         path = tmp_path / "sys.json"

@@ -277,6 +277,21 @@ class TestDiagonalCostConditions:
         with pytest.raises(InputError, match="degenerate coupling"):
             diagonal_cost_conditions(sys2)
 
+    @pytest.mark.parametrize(
+        "sys2, message",
+        [
+            (DiagonalCost2x2(1, 1, -1, 1, 1e300, 1e-300, 1, 1), "state_weight_ratio: its ratio"),
+            (DiagonalCost2x2(1, 1, -1, 1, 1, 1, 1e300, 1e-300), "input_weight_ratio: its ratio"),
+            (DiagonalCost2x2(1, 1e-200, -1, 1e-200, 1, 1, 1, 1), "state_weight_ratio: its target"),
+            (DiagonalCost2x2(1, 1e160, -1, 1, 1, 1, 1, 1), "input_weight_ratio: its target"),
+        ],
+        ids=["state-ratio-overflows", "input-ratio-overflows", "a1-a2-underflows",
+             "square-overflows"],
+    )
+    def test_non_finite_ratio_or_target_is_refused(self, sys2, message):
+        with pytest.raises(InputError, match=f"^condition {message} is not finite$"):
+            diagonal_cost_conditions(sys2)
+
     def test_invariant_under_cost_scaling(self):
         rng = np.random.default_rng(41)
         for _ in range(20):
@@ -296,6 +311,21 @@ class TestDiagonalCostConditions:
                 )
                 holds, _ = diagonal_cost_conditions(scaled)
                 assert holds == holds0
+
+
+@pytest.mark.parametrize("u, v", [(np.inf, 1.0), (1.0, -np.inf), (np.inf, np.inf), (np.nan, 1.0)])
+def test_approx_equal_is_false_unless_both_values_are_finite(u, v):
+    # |inf - v| = inf <= tol * inf would otherwise hold.
+    assert not decentral.approx_equal(u, v, 1e-10)
+    assert not decentral.approx_equal(v, u, 1e-10)
+
+
+def test_overflowing_balance_ratio_is_not_balanced():
+    # (a0 - a1)/(a0 + a1) overflows to inf for a = [-1.5e308, 1e308].
+    a, b = CirculantSpec([-1.5e308, 1e308]), CirculantSpec([3.0, 1.0])
+    with np.errstate(over="ignore"):
+        holds, c = circulant_pair_conditions(a, b, identity_spec(2), identity_spec(2))
+    assert (holds, c) == (False, None)
 
 
 class TestDiagonalCostFamily:

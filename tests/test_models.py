@@ -236,6 +236,11 @@ class TestChamber:
         with pytest.raises(InputError, match="degenerate"):
             chamber_system(ChamberParams(alpha0=2.0, alpha1=2.0, beta0=3.0, beta1=1.0))
 
+    def test_overflowing_entry_ratio_is_not_balanced(self):
+        # a0 - a1 = -alpha0 - alpha1 overflows, so the entry ratio is inf.
+        chamber = chamber_system(ChamberParams(alpha0=1.5e308, alpha1=1e308, beta0=3.0, beta1=1.0))
+        assert not chamber.entry_condition
+
     def test_diagonal_limit_is_decentralized(self):
         # alpha1, beta1 -> 0: the circulant pair becomes diagonal and the
         # trivial decoupled case applies.

@@ -35,8 +35,15 @@ def test_quick_tour_results():
     # report.oracle_decentralized -> True
     assert namespace["report"].oracle_decentralized is True
     # oracle_check(sys2.lqr_problem()): decentralized, K = diag(3, 12)
-    synthesized, uniform_gain = values
+    synthesized, uniform_gain, center = values
     assert synthesized.oracle_decentralized
     assert np.allclose(synthesized.K, np.diag([3.0, 12.0]), atol=1e-9)
     # find_uniform_gain(d2, identity_spec(8), q, r) -> 1.0
     assert abs(uniform_gain - 1.0) <= 1e-9
+    # landscape[2, 10]: q0/q2 = gamma0/gamma2 = 1, sqrt(2 (1 + sqrt(2)))
+    res, landscape = namespace["res"], namespace["landscape"]
+    assert landscape.shape == (5, 21)
+    assert np.array_equal(res.axis1[:105].reshape(5, 21)[:, 0], res.config.axis1.grid())
+    assert np.array_equal(res.axis2[:105].reshape(5, 21)[0], res.config.axis2.grid())
+    assert np.allclose([res.axis1[2 * 21 + 10], res.axis2[2 * 21 + 10]], 1.0, rtol=0, atol=1e-12)
+    assert abs(center - np.sqrt(2.0 * (1.0 + sqrt2))) <= 1e-10

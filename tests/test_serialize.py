@@ -9,7 +9,7 @@ import pytest
 from declqr import InputError
 from declqr.cli import _print_matrix
 from declqr.serialize import _format_rows, dumps_json, format_float
-from declqr.sweep import GridRecord, SweepConfig, SweepResult, csv_text
+from declqr.sweep import SweepConfig, SweepResult, csv_text
 
 EDGE_VALUES = [
     0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e16, 1e17, 0.1, -1.0 / 3.0,
@@ -64,8 +64,9 @@ def _print(M):
 
 
 def _csv(bad):
-    record = GridRecord(1.0, 2.0, bad, True, 0.0, "ok")
-    csv_text(SweepResult(config=SweepConfig.from_dict({"kind": "qr"}), records=[record]))
+    cfg = SweepConfig.from_dict({"kind": "qr"})
+    row = [np.array([value]) for value in (1.0, 2.0, bad, True, 0.0)]
+    csv_text(SweepResult(cfg, 1, *row, status=["ok"], curve_excluded=[]))
 
 
 def _json(bad):

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import declqr.decentral as decentral
 import declqr.matcore as matcore
@@ -11,6 +13,17 @@ from declqr.serialize import dumps_json
 from declqr.sweep import csv_text, sidecar_dict, write_outputs
 
 SQRT2 = np.sqrt(2.0)
+COLUMNS = ("axis1", "axis2", "h2", "decentralized", "offdiag_mass")
+
+
+def rows(result):
+    """(axis1, axis2, h2, decentralized, offdiag_mass, status) of each row."""
+    return list(zip(*(getattr(result, name).tolist() for name in COLUMNS), result.status))
+
+
+def solved_locus(result):
+    """Indices of the solved locus rows."""
+    return [i for i, s in enumerate(result.status) if i >= result.points and s == "ok"]
 
 
 def small_qr_config(steps=5):
@@ -100,20 +113,23 @@ def test_run_sweep_validates_no_axis(monkeypatch):
         raise AssertionError("run_sweep validated an axis")
 
     monkeypatch.setattr(SweepAxis, "__post_init__", refuse)
-    assert run_sweep(cfg) == want
+    got = run_sweep(cfg)
+    for name in COLUMNS:
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert (got.config, got.points, got.status, got.curve_excluded) == (
+        want.config, want.points, want.status, want.curve_excluded
+    )
 
 
 class TestQrSweep:
     def test_grid_completeness_and_center(self):
         result = run_sweep(small_qr_config())
-        assert len(result.records) == 25
-        assert all(r.status == "ok" for r in result.records)
-        center = min(
-            result.records, key=lambda r: abs(r.axis1 - 1.0) + abs(r.axis2 - 1.0)
-        )
-        assert center.axis1 == pytest.approx(1.0)
-        assert center.decentralized
-        assert center.h2 == pytest.approx(np.sqrt(2.0 * (1.0 + SQRT2)), abs=1e-10)
+        assert result.points == len(result.status) == 25
+        assert result.status == ["ok"] * 25
+        center = np.argmin(np.abs(result.axis1 - 1.0) + np.abs(result.axis2 - 1.0))
+        assert result.axis1[center] == pytest.approx(1.0)
+        assert result.decentralized[center]
+        assert result.h2[center] == pytest.approx(np.sqrt(2.0 * (1.0 + SQRT2)), abs=1e-10)
 
     def test_failed_points_carry_status(self):
         cfg = SweepConfig(
@@ -122,10 +138,10 @@ class TestQrSweep:
             axis2=SweepAxis("gamma0_over_gamma2", 0.5, 2.0, 2),
         )
         result = run_sweep(cfg)
-        assert len(result.records) == 6
-        bad = [r for r in result.records if r.status != "ok"]
-        assert bad and all(r.h2 is None for r in bad)
-        assert all(r.status == "InputError" for r in bad)
+        assert result.points == len(result.status) == 6
+        bad = [i for i, s in enumerate(result.status) if s != "ok"]
+        assert bad and np.isnan(result.h2[bad]).all()
+        assert all(result.status[i] == "InputError" for i in bad)
 
 
 class TestStackedSolve:
@@ -151,16 +167,16 @@ class TestStackedSolve:
         )
         result = run_sweep(cfg)
         assert sizes == [12 + 5]
-        assert len(result.records) == 12 and len(result.curve) == 5
+        assert result.points == 12 and result.status[12:] == ["ok"] * 5
 
     def test_point_is_the_same_alone_and_in_a_larger_grid(self):
         # Log grids keep their end points exactly, so the 2 x 2 grid's points
         # are the corners of the 5 x 5 grid.
-        corners = {(r.axis1, r.axis2): r for r in run_sweep(small_qr_config(steps=5)).records}
-        small = run_sweep(small_qr_config(steps=2)).records
+        corners = {row[:2]: row for row in rows(run_sweep(small_qr_config(steps=5)))}
+        small = rows(run_sweep(small_qr_config(steps=2)))
         assert len(small) == 4
-        for rec in small:
-            assert corners[(rec.axis1, rec.axis2)] == rec
+        for row in small:
+            assert corners[row[:2]] == row
 
 
 def _alone(kind, a1, a2):
@@ -194,13 +210,60 @@ def test_status_of_each_point_is_its_own_solve(cfg):
     # solve_care_stack ends it alone, with the same error class or, solved,
     # the same h2 bit for bit.
     result = run_sweep(cfg)
-    points = [(r.axis1, r.axis2, r.status, r.h2) for r in result.records + result.curve]
+    points = [(a1, a2, status, h2 if status == "ok" else None)
+              for a1, a2, h2, _, _, status in rows(result)]
     with np.errstate(over="ignore"):  # q0 = 1/a2 = inf at a subnormal a2
         points += [(1.0 / a2, a2, status, None) for a2, status in result.curve_excluded if a2 > 0]
     for a1, a2, status, h2 in points:
         assert (status, h2) == _alone(cfg.kind, a1, a2)
     if cfg.kind == "qa":
-        assert len(result.curve) + len(result.curve_excluded) == cfg.curve_samples
+        assert len(solved_locus(result)) + len(result.curve_excluded) == cfg.curve_samples
+
+
+# Axis ends from subnormal to 1e300, the plainest first, as hypothesis draws
+# the first more often; a linear axis may also cross 0.
+AXIS_ENDS = (1.0, 0.1, 3.0, 1e-9, 1e9, 1e-300, 1e300, 1e-320, 5e-324)
+
+
+@st.composite
+def small_configs(draw, kind):
+    axes = []
+    for name in ("x1", "x2"):
+        spacing = draw(st.sampled_from(("log", "linear")))
+        ends = st.sampled_from(AXIS_ENDS)
+        if spacing == "linear":
+            ends = st.one_of(ends, ends.map(lambda x: -x), st.floats(-5.0, 5.0))
+        lo, hi = sorted(draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+        axes.append(SweepAxis(name, lo, hi, draw(st.integers(2, 4)), spacing))
+    return SweepConfig(kind, *axes, draw(st.integers(2, 6)))
+
+
+@pytest.mark.parametrize("kind", sweep.DEFAULT_CONFIGS)
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_table_agrees_with_its_csv_and_summary(kind, data):
+    cfg = data.draw(small_configs(kind))
+    result = run_sweep(cfg)
+    n, status = result.points, result.status
+    assert n == cfg.axis1.steps * cfg.axis2.steps
+    lines = csv_text(result).split("\n")[1:-1]
+    assert len(lines) == n
+    assert [line.rsplit(",", 1)[1] for line in lines] == status[:n]
+    assert [s == "ok" for s in status] == (~np.isnan(result.h2)).tolist()
+    summary = result.summary()
+    solved = status[:n].count("ok")
+    decentralized = sum(bool(d) for d, s in zip(result.decentralized[:n], status) if s == "ok")
+    assert (summary["points"], summary["solved"], summary["failed"]) == (n, solved, n - solved)
+    assert summary["decentralized_count"] == decentralized
+    on_locus = status[n:].count("ok")
+    assert summary.get("curve", {}).get("samples", 0) == on_locus
+    if cfg.kind == "qa":
+        assert on_locus + len(result.curve_excluded) == cfg.curve_samples
+    else:
+        assert len(status) == n and result.curve_excluded == []
+    with np.errstate(over="ignore"):  # q0 = 1/a2 = inf at a subnormal a2
+        inverse = 1.0 / result.axis2[n:]
+    assert result.axis1[n:].tobytes() == inverse.tobytes()
 
 
 class TestQaSweep:
@@ -212,14 +275,14 @@ class TestQaSweep:
             curve_samples=3,
         )
         result = run_sweep(cfg)
-        assert len(result.records) == 9
-        assert len(result.curve) == 3
-        for s in result.curve:
-            assert s.decentralized
-            assert s.axis1 == pytest.approx(1.0 / s.axis2, rel=1e-12)
-        by_a2 = {round(s.axis2, 6): s for s in result.curve}
-        assert by_a2[2.0].axis1 == pytest.approx(0.5)
-        assert by_a2[1.0].axis1 == pytest.approx(1.0)
+        assert result.points == 9
+        curve = solved_locus(result)
+        assert len(curve) == 3
+        assert result.decentralized[curve].all()
+        assert result.axis1[curve] == pytest.approx(1.0 / result.axis2[curve], rel=1e-12)
+        by_a2 = {round(a2, 6): q0 for q0, a2 in zip(result.axis1[curve], result.axis2[curve])}
+        assert by_a2[2.0] == pytest.approx(0.5)
+        assert by_a2[1.0] == pytest.approx(1.0)
         for sample in sidecar_dict(result)["curve"]:
             assert sample["gamma2"] == sample["a2"]
             assert sample["q0"] == pytest.approx(1.0 / sample["a2"], rel=1e-12)
@@ -248,7 +311,7 @@ class TestQaSweep:
         )
         result = run_sweep(cfg)
         assert result.curve_excluded == [(1e9, "UnstabilizableError")]
-        assert len(result.curve) == 9
+        assert len(solved_locus(result)) == 9
         data = sidecar_dict(result)
         assert data["curve_excluded"] == [{"a2": 1e9, "reason": "UnstabilizableError"}]
         assert data["summary"]["curve"]["excluded"] == 1
@@ -267,7 +330,7 @@ class TestQaSweep:
             curve_samples=20,
         )
         result = run_sweep(cfg)
-        h2s = [s.h2 for s in result.curve]
+        h2s = result.h2[solved_locus(result)]
         assert (max(h2s) - min(h2s)) / min(h2s) > 0.10
 
 
@@ -315,7 +378,7 @@ class TestOutputs:
         # The text is formed before its file is opened, so a non-finite value
         # neither empties an old CSV nor creates a sidecar.
         result = run_sweep(small_qr_config(steps=3))
-        result.records[0].h2 = float("inf")
+        result.h2[0] = float("inf")
         path = tmp_path / "grid.csv"
         path.write_text("old")
         with pytest.raises(InputError, match="non-finite"):
@@ -326,7 +389,7 @@ class TestOutputs:
         result = run_sweep(small_qr_config(steps=3))
         text = csv_text(result)
         value = text.strip().split("\n")[1].split(",")[0]
-        assert float(value) == result.records[0].axis1
+        assert float(value) == result.axis1[0]
 
     def test_failed_rows_leave_value_cells_empty(self):
         cfg = SweepConfig(
