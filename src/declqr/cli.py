@@ -70,8 +70,7 @@ def _chamber_adjudication(system, report, uniform_gain, out):
     oracle = report.oracle_decentralized
     out.write("chamber adjudication:\n")
     _print_verdicts([
-        decentral.Verdict("magnitude balance (alpha vs beta ratios)", chamber.magnitude_condition),
-        decentral.Verdict("entry balance (signed entries, a0 = -alpha0)", chamber.entry_condition),
+        *chamber.conditions,
         decentral.Verdict("uniform-gain prediction (decentralized)", prediction),
         decentral.Verdict("oracle decentralized", oracle),
         decentral.Verdict("consistency (oracle matches prediction)", oracle == prediction),
@@ -101,20 +100,21 @@ def _cmd_check(args, out):
     def uniform_gain():
         return decentral.find_uniform_gain(*system.circulant_specs())
 
-    c = prob = None
+    c = prob = verdicts = None
     if mode == "thm1":
         if system.kind != "dense":
             raise InputError("check thm1 needs a dense system file")
         prob = system.lqr_problem()
         sys2 = decentral.DiagonalCost2x2.from_problem(prob)
         holds, verdicts = decentral.diagonal_cost_conditions(sys2)
-        _print_verdicts(verdicts, "condition ", out)
-        out.write(f"analytic holds: {_bool(holds)}\n")
     elif mode == "thm2":
         c = uniform_gain()
         out.write(f"uniform gain found: {_bool(c is not None)}\n")
     elif mode == "cor3":
-        holds, c = decentral.circulant_pair_conditions(*system.circulant_specs())
+        holds, verdicts = decentral.circulant_pair_conditions(*system.circulant_specs())
+        c = uniform_gain() if holds else None
+    if verdicts is not None:
+        _print_verdicts(verdicts, "condition ", out)
         out.write(f"analytic holds: {_bool(holds)}\n")
     if c is not None:
         out.write(f"scalar gain c: {format_float(c)}\n")

@@ -7,6 +7,7 @@ state that means a diagonal K. This module provides
 * a numeric oracle: solve the Riccati equation and test the gain's sparsity
   pattern,
 * Verdict, the one record of a named condition, its answer and witness,
+  and ratio_verdict, the one judge of a ratio condition,
 * the one map of 2x2 plants with B = I and diagonal Q, R to matrices and
   back (diagonal_cost_stack, DiagonalCost2x2.from_problem), the four
   conditions on them (sign pattern of the coupling plus two weight-ratio
@@ -16,7 +17,7 @@ state that means a diagonal K. This module provides
   for the 2x2 circulant case (balance_ratio, which the two-chamber model
   reuses; frequency_singular is the search's vanishing-eigenvalue test).
 
-Tolerance split: analytic ratio identities are checked at 1e-10 (exact
+Tolerance split: ratio_verdict checks identities at 1e-10 (exact
 arithmetic facts), while oracle diagonality is judged at 1e-6, downstream of
 the iterative Riccati solve. The scale of every relative test is
 matcore._fro, which stays finite for finite entries, so entries above about
@@ -128,11 +129,15 @@ def oracle_check(prob):
     )
 
 
-def approx_equal(u, v, tol):
-    """Symmetric relative closeness; safe when either value is zero, and
-    false unless both are finite."""
-    finite = math.isfinite(u) and math.isfinite(v)
-    return finite and abs(u - v) <= tol * max(1.0, abs(u), abs(v))
+def ratio_verdict(name, ratio, target):
+    """The one rule for a ratio condition on two floats: it holds when
+    |ratio - target| <= RATIO_TOL * max(1, |ratio|, |target|), witnessed by
+    both. A non-finite ratio or target is an InputError."""
+    for key, value in (("ratio", ratio), ("target", target)):
+        if not math.isfinite(value):
+            raise InputError(f"condition {name}: its {key} is not finite")
+    holds = abs(ratio - target) <= RATIO_TOL * max(1.0, abs(ratio), abs(target))
+    return Verdict(name, holds, {"ratio": ratio, "target": target})
 
 
 # ---------------------------------------------------------------------------
@@ -193,12 +198,28 @@ class DiagonalCost2x2:
         return cls(*A.ravel(), *np.diag(Q), gamma0, gamma2)
 
 
-def _require_nonzero_coupling(a1, a_minus1, a2):
+def _sign_verdicts(a0, a1, a_minus1, a2):
+    """Conditions (i) and (ii), judged by comparing signs, which no product's
+    underflow can flip; a zero a1, a_minus1 or a2 is an InputError."""
     if a1 == 0.0 or a_minus1 == 0.0 or a2 == 0.0:
         raise InputError(
             "degenerate coupling: a1, a_minus1 and a2 must be nonzero "
             "(fully diagonal plants are decentralized trivially)"
         )
+    return [Verdict("opposite_offdiag_signs", (a1 < 0) != (a_minus1 < 0)),
+            Verdict("same_diag_signs", a0 != 0 and (a0 < 0) == (a2 < 0))]
+
+
+def _state_target(a0, a1, a_minus1, a2, scale=1.0):
+    den = a1 * a2  # 0 where it underflows, and then the target is inf
+    return scale * (-a0 * a_minus1) / den if den else math.inf
+
+
+def _input_target(a1, a_minus1, state_ratio, scale=1.0):
+    try:
+        return scale * (a1 / a_minus1) ** 2 * state_ratio
+    except OverflowError:  # a float power raises where float arithmetic gives inf
+        return math.inf
 
 
 def diagonal_cost_conditions(sys):
@@ -209,60 +230,43 @@ def diagonal_cost_conditions(sys):
 
     (i)   a1 and a_minus1 have opposite signs;
     (ii)  a0 and a2 have the same sign;
-    (iii) q0/q2 equals -a0 a_minus1 / (a1 a2) within RATIO_TOL;
-    (iv)  gamma0/gamma2 equals (a1/a_minus1)^2 * q0/q2 within RATIO_TOL.
+    (iii) q0/q2 equals -a0 a_minus1 / (a1 a2);
+    (iv)  gamma0/gamma2 equals (a1/a_minus1)^2 * q0/q2.
 
     Returns (holds, verdicts): the conjunction, and one Verdict per
-    condition in the order above, (iii) and (iv) witnessed by their ratio
-    and its target, each of which must be finite (an InputError names it).
+    condition in the order above, (iii) and (iv) judged by ratio_verdict.
     """
-    _require_nonzero_coupling(sys.a1, sys.a_minus1, sys.a2)
     state_ratio = sys.q0 / sys.q2
-    input_ratio = sys.gamma0 / sys.gamma2
-    try:
-        state_target = -sys.a0 * sys.a_minus1 / (sys.a1 * sys.a2)
-    except ZeroDivisionError:  # a1 * a2 underflows to 0, where float arithmetic gives inf
-        state_target = math.inf
-    try:
-        input_target = (sys.a1 / sys.a_minus1) ** 2 * state_ratio
-    except OverflowError:  # a float power raises where float arithmetic gives inf
-        input_target = math.inf
-    verdicts = [
-        Verdict("opposite_offdiag_signs", sys.a1 * sys.a_minus1 < 0),
-        Verdict("same_diag_signs", sys.a0 * sys.a2 > 0),
-        Verdict("state_weight_ratio", approx_equal(state_ratio, state_target, RATIO_TOL),
-                {"ratio": state_ratio, "target": state_target}),
-        Verdict("input_weight_ratio", approx_equal(input_ratio, input_target, RATIO_TOL),
-                {"ratio": input_ratio, "target": input_target}),
+    verdicts = _sign_verdicts(sys.a0, sys.a1, sys.a_minus1, sys.a2) + [
+        ratio_verdict("state_weight_ratio", state_ratio,
+                      _state_target(sys.a0, sys.a1, sys.a_minus1, sys.a2)),
+        ratio_verdict("input_weight_ratio", sys.gamma0 / sys.gamma2,
+                      _input_target(sys.a1, sys.a_minus1, state_ratio)),
     ]
-    for v in verdicts:
-        for key, value in v.witness.items():
-            if not math.isfinite(value):
-                raise InputError(f"condition {v.name}: its {key} is not finite")
     return all(v.holds for v in verdicts), verdicts
 
 
 def synthesize_diagonal_cost(a0, a1, a_minus1, a2, q2=1.0, gamma2=1.0):
     """Choose diagonal weights that make the gain of the given plant diagonal.
 
-    Requires the sign pattern (a1, a_minus1 opposite; a0, a2 same); then
-    q0 = q2 * (-a0 a_minus1)/(a1 a2) and gamma0 = gamma2 * (a1/a_minus1)^2
-    * (q0/q2) are positive and satisfy diagonal_cost_conditions by
-    construction.
+    Requires conditions (i) and (ii) of diagonal_cost_conditions; then the
+    targets of (iii) and (iv) at scales q2 and gamma2 give weights q0 and
+    gamma0 that are positive and satisfy (iii) and (iv) by construction.
+    DiagonalCost2x2 refuses a weight beyond the float range.
     """
     a0, a1, a_minus1, a2 = (
         as_real(x, name) for x, name in zip((a0, a1, a_minus1, a2), ("a0", "a1", "a_minus1", "a2"))
     )
-    _require_nonzero_coupling(a1, a_minus1, a2)
+    signs = _sign_verdicts(a0, a1, a_minus1, a2)
     q2 = as_positive_real(q2, "q2")
     gamma2 = as_positive_real(gamma2, "gamma2")
-    if not (a1 * a_minus1 < 0 and a0 * a2 > 0):
+    if not all(v.holds for v in signs):
         raise InputError(
             "preconditions fail, positivity of cost impossible: need opposite-sign "
             "coupling and same-sign self terms"
         )
-    q0 = q2 * (-a0 * a_minus1) / (a1 * a2)
-    gamma0 = gamma2 * (a1 / a_minus1) ** 2 * (q0 / q2)
+    q0 = _state_target(a0, a1, a_minus1, a2, q2)
+    gamma0 = _input_target(a1, a_minus1, q0 / q2, gamma2)
     return DiagonalCost2x2(
         a0=a0, a1=a1, a_minus1=a_minus1, a2=a2,
         q0=q0, q2=q2, gamma0=gamma0, gamma2=gamma2,
@@ -375,10 +379,14 @@ def circulant_lqr_problem(a, b, q, r):
 
 def balance_ratio(v0, v1, name):
     """Relative difference in influence (v0 - v1)/(v0 + v1) of the 2x2
-    circulant [[v0, v1], [v1, v0]]; InputError when v0 + v1 is zero. name
-    labels the entries in that error ("a" for a0, a1)."""
+    circulant [[v0, v1], [v1, v0]], taken on v0/2, v1/2 where v0 -+ v1
+    overflows; InputError, name labelling the entries ("a" for a0, a1),
+    when v0 + v1 is zero."""
+    v0, v1 = float(v0), float(v1)
     if v0 + v1 == 0.0:
         raise InputError(f"degenerate: {name}0 + {name}1 is zero")
+    if not (math.isfinite(v0 - v1) and math.isfinite(v0 + v1)):
+        v0, v1 = v0 / 2, v1 / 2
     return (v0 - v1) / (v0 + v1)
 
 
@@ -386,17 +394,11 @@ def circulant_pair_conditions(a, b, q, r):
     """Balance test for 2x2 circulant quadruples.
 
     Each matrix [[v0, v1], [v1, v0]] maps a coordinate to itself with weight
-    v0 and to the opposite coordinate with weight v1; (v0 - v1)/(v0 + v1) is
-    its relative difference in influence. The test requires that difference to
-    balance between A and B, and between Q and R:
-
-        (a0 - a1)/(a0 + a1) == (b0 - b1)/(b0 + b1)  and
-        (q0 - q1)/(q0 + q1) == (r0 - r1)/(r0 + r1),
-
-    both within RATIO_TOL. Returns (holds, c) with c the shared scalar gain
-    from find_uniform_gain when the balance holds (None when the per-frequency
-    stabilizing branches fail to agree, which can happen when the eigenvalues
-    of B differ in sign).
+    v0 and to the opposite coordinate with weight v1; balance_ratio is its
+    relative difference in influence. Returns (holds, verdicts): the
+    conjunction, and the ratio_verdicts dynamics_balance (A's ratio against
+    B's) and cost_balance (Q's against R's). A balanced quadruple can lack a
+    uniform gain (find_uniform_gain) when the eigenvalues of B differ in sign.
     """
     for name, spec in (("a", a), ("b", b), ("q", q), ("r", r)):
         if spec.n != 2:
@@ -405,8 +407,5 @@ def circulant_pair_conditions(a, b, q, r):
         balance_ratio(*spec.first_row, name)
         for spec, name in ((a, "a"), (b, "b"), (q, "q"), (r, "r"))
     )
-    dynamics_ok = approx_equal(ra, rb, RATIO_TOL)
-    cost_ok = approx_equal(rq, rr, RATIO_TOL)
-    holds = dynamics_ok and cost_ok
-    c = find_uniform_gain(a, b, q, r) if holds else None
-    return holds, c
+    verdicts = [ratio_verdict("dynamics_balance", ra, rb), ratio_verdict("cost_balance", rq, rr)]
+    return all(v.holds for v in verdicts), verdicts

@@ -12,11 +12,12 @@ Units are documented on the parameter types but not enforced; constructors
 emit plain dimensionless matrices for the solvers.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .decentral import RATIO_TOL, DiagonalCost2x2, approx_equal, balance_ratio
+from .decentral import DiagonalCost2x2, balance_ratio, ratio_verdict
 from .errors import InputError
 from .matcore import as_positive_real
 from .spectral import CirculantSpec, _ring_size, identity_spec
@@ -48,10 +49,16 @@ def predator_prey_jacobian(p):
 
     State 1 is the prey deviation, state 2 the predator deviation; the input
     (B = I implicitly) adds or removes individuals of each species per unit
-    time.
+    time. A Jacobian, or its denominator sigma, beyond the float range is an
+    InputError.
     """
-    sigma = p.e * p.k1 * p.k2 * p.b ** 2 + p.r1 * p.r2
-    return np.array(
+    try:
+        sigma = p.e * p.k1 * p.k2 * p.b ** 2 + p.r1 * p.r2
+    except OverflowError:  # a float power raises where float arithmetic gives inf
+        sigma = math.inf
+    if not 0 < sigma < math.inf:  # every entry is then NaN, and refused below
+        sigma = math.nan
+    J = np.array(
         [
             [
                 -p.r1 * p.r2 * (p.r1 - p.b * p.k2) / sigma,
@@ -63,6 +70,9 @@ def predator_prey_jacobian(p):
             ],
         ]
     )
+    if not np.all(np.isfinite(J)):
+        raise InputError("the predprey Jacobian leaves the float range")
+    return J
 
 
 def diffusion_operator(n, delta=1.0):
@@ -71,17 +81,24 @@ def diffusion_operator(n, delta=1.0):
     First row (1/delta^2) * [-2, 1, 0, ..., 0, 1]. Eigenvalues are
     (2 cos(2 pi k / n) - 2) / delta^2, all nonpositive. n = 2 would fold the
     two neighbor offsets onto the same entry and is rejected, as is an n
-    above spectral.MAX_RING_SIZE.
+    above spectral.MAX_RING_SIZE. So is a delta for which 2/delta^2, or the
+    4/delta^2 of diffusion_decentralizing_cost, is not a finite nonzero float.
     """
     n = _ring_size(n)
     if n < 3:
         raise InputError("wrap-around collision: the ring needs n >= 3 sites")
     delta = as_positive_real(delta, "delta")
+    try:
+        square = delta ** 2
+    except OverflowError:  # a float power raises where float arithmetic gives inf
+        square = math.inf
+    if not (square > 0 and math.isfinite(4.0 / square) and 2.0 / square > 0):
+        raise InputError(f"delta = {delta!r} puts 2/delta^2 or 4/delta^2 outside the float range")
     row = np.zeros(n)
     row[0] = -2.0
     row[1] = 1.0
     row[-1] = 1.0
-    return CirculantSpec(row / delta ** 2)
+    return CirculantSpec(row / square)
 
 
 def diffusion_decentralizing_cost(n, delta=1.0):
@@ -119,20 +136,18 @@ class ChamberParams:
 
 @dataclass
 class ChamberSystem:
-    """Two-chamber system matrices plus both candidate balance conditions.
-
-    magnitude_condition compares loss/gain magnitudes directly:
-        (alpha0 - alpha1)/(alpha0 + alpha1) == (beta0 - beta1)/(beta0 + beta1).
-    entry_condition is cor3's dynamics balance (circulant_pair_conditions)
-    on the signed state-matrix entries (a0, a1) = (-alpha0, alpha1) against
-    (b0, b1) = (beta0, beta1). The two disagree in general; neither is
-    privileged here, and the numeric oracle adjudicates.
+    """Two-chamber system matrices plus both candidate balance conditions,
+    ratio_verdicts against (beta0 - beta1)/(beta0 + beta1). The magnitude
+    balance compares loss/gain magnitudes directly, with ratio
+    (alpha0 - alpha1)/(alpha0 + alpha1); the entry balance is cor3's dynamics
+    balance on the signed state-matrix entries (a0, a1) = (-alpha0, alpha1).
+    The two disagree in general; neither is privileged here, and the numeric
+    oracle adjudicates.
     """
 
     a: CirculantSpec
     b: CirculantSpec
-    magnitude_condition: bool
-    entry_condition: bool
+    conditions: list
 
 
 def chamber_system(p):
@@ -142,10 +157,12 @@ def chamber_system(p):
     return ChamberSystem(
         a=CirculantSpec(np.array([a0, a1])),
         b=CirculantSpec(np.array([p.beta0, p.beta1])),
-        magnitude_condition=approx_equal(
-            balance_ratio(p.alpha0, p.alpha1, "alpha"), beta, RATIO_TOL
-        ),
-        entry_condition=approx_equal(balance_ratio(a0, a1, "a"), beta, RATIO_TOL),
+        conditions=[
+            ratio_verdict("magnitude balance (alpha vs beta ratios)",
+                          balance_ratio(p.alpha0, p.alpha1, "alpha"), beta),
+            ratio_verdict("entry balance (signed entries, a0 = -alpha0)",
+                          balance_ratio(a0, a1, "a"), beta),
+        ],
     )
 
 

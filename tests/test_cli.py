@@ -251,6 +251,56 @@ class TestCheck:
         assert "analytic holds: true" in text
         assert "oracle decentralized: true" in text
 
+    def test_cor3_prints_both_balance_conditions(self, tmp_path):
+        path = tmp_path / "bal.json"
+        save_system(circulant_document(CirculantSpec([-2.0, -1.0]), CirculantSpec([2.0, 1.0]),
+                                       identity_spec(2), identity_spec(2)), path)
+        status, text = run_cli(["check", "cor3", "--system", str(path)])
+        assert status == 0
+        assert text.startswith(
+            "check mode: cor3\n"
+            "condition dynamics_balance: true  "
+            "(ratio=0.33333333333333331, target=0.33333333333333331)\n"
+            "condition cost_balance: true  (ratio=1, target=1)\n"
+            "analytic holds: true\n"
+            "scalar gain c: 0.41421356237309509\n"
+        )
+
+    def test_cor3_on_an_overflowing_difference_is_warning_free(self, tmp_path, capsys):
+        # a0 - a1 overflows for A = [-1.5e308, 1e308]; the ratio is 5.
+        path = tmp_path / "big.json"
+        save_system(circulant_document(CirculantSpec([-1.5e308, 1e308]), CirculantSpec([3.0, 1.0]),
+                                       identity_spec(2), identity_spec(2)), path)
+        status, text = run_cli(["check", "cor3", "--system", str(path)])
+        assert status == 2
+        assert text == (
+            "check mode: cor3\n"
+            "condition dynamics_balance: false  (ratio=5, target=0.5)\n"
+            "condition cost_balance: true  (ratio=1, target=1)\n"
+            "analytic holds: false\n"
+        )
+        assert capsys.readouterr().err.startswith("solver failure: ")
+
+    def test_cor3_search_error_comes_before_the_conditions(self, tmp_path, capsys):
+        # A = B = [[1, 1], [1, 1]] balances, and B is frequency-singular.
+        path = tmp_path / "singular.json"
+        save_system(circulant_document(CirculantSpec([1.0, 1.0]), CirculantSpec([1.0, 1.0]),
+                                       identity_spec(2), identity_spec(2)), path)
+        status, text = run_cli(["check", "cor3", "--system", str(path)])
+        assert (status, text) == (1, "check mode: cor3\n")
+        assert capsys.readouterr().err == (
+            "input error: frequency-singular: an eigenvalue of 'b' vanishes\n"
+        )
+
+    def test_thm1_judges_signs_whose_product_underflows(self, tmp_path):
+        path = tmp_path / "tiny.json"
+        save_system(dense_document([[1.0, 1e-170], [-1e-170, 1.0]], np.eye(2), np.eye(2),
+                                   np.eye(2)), path)
+        status, text = run_cli(["check", "thm1", "--system", str(path)])
+        assert status == 0
+        assert "condition opposite_offdiag_signs: true\n" in text
+        assert "analytic holds: true\noracle decentralized: true\n" in text
+
     def test_cor3_equal_entry_row(self, tmp_path):
         path = tmp_path / "equal.json"
         save_system(
@@ -427,8 +477,8 @@ class TestChamberAdjudication:
         status, text = run_cli(["check", "oracle", "--system", str(path)])
         assert status == 0
         assert "chamber adjudication:" in text
-        assert "magnitude balance (alpha vs beta ratios): true" in text
-        assert "entry balance (signed entries, a0 = -alpha0): false" in text
+        assert "  magnitude balance (alpha vs beta ratios): true  (ratio=0.5, target=0.5)\n" in text
+        assert "  entry balance (signed entries, a0 = -alpha0): false  (ratio=2, target=0.5)\n" in text
         assert "oracle decentralized: false" in text
         assert "consistency (oracle matches prediction): true" in text
 
@@ -529,6 +579,29 @@ class TestModel:
         assert (status, text) == (1, "")
         assert capsys.readouterr().err == (
             "input error: n must be at most 10000000, got 100000000000000000000\n"
+        )
+
+    @pytest.mark.parametrize("cost", [[], ["--decentralizing-cost"]], ids=["plain", "cost"])
+    @pytest.mark.parametrize("delta", ["1e200", "1e-200"], ids=["huge", "tiny"])
+    def test_diffusion_spacing_beyond_the_float_range_is_an_input_error(self, capsys, delta, cost):
+        status, text = run_cli(["model", "diffusion", "--n", "3", "--delta", delta] + cost)
+        assert (status, text) == (1, "")
+        assert capsys.readouterr().err == (
+            f"input error: delta = {float(delta)!r} puts 2/delta^2 or 4/delta^2 "
+            "outside the float range\n"
+        )
+
+    @pytest.mark.parametrize(
+        "params",
+        [["--r1", "1", "--r2", "1", "--k1", "1", "--k2", "1", "--b", "1e200", "--e", "1"],
+         [x for k in ("r1", "r2", "k1", "k2", "b", "e") for x in (f"--{k}", "1e-300")]],
+        ids=["b-huge", "all-tiny"],
+    )
+    def test_predprey_jacobian_beyond_the_float_range_is_an_input_error(self, capsys, params):
+        status, text = run_cli(["model", "predprey"] + params)
+        assert (status, text) == (1, "")
+        assert capsys.readouterr().err == (
+            "input error: the predprey Jacobian leaves the float range\n"
         )
 
     def test_unwritable_output_is_an_input_error(self, tmp_path, capsys):

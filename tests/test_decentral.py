@@ -314,18 +314,71 @@ class TestDiagonalCostConditions:
 
 
 @pytest.mark.parametrize("u, v", [(np.inf, 1.0), (1.0, -np.inf), (np.inf, np.inf), (np.nan, 1.0)])
-def test_approx_equal_is_false_unless_both_values_are_finite(u, v):
+def test_ratio_verdict_refuses_non_finite_values(u, v):
     # |inf - v| = inf <= tol * inf would otherwise hold.
-    assert not decentral.approx_equal(u, v, 1e-10)
-    assert not decentral.approx_equal(v, u, 1e-10)
+    for ratio, target in ((u, v), (v, u)):
+        key = "target" if np.isfinite(ratio) else "ratio"
+        with pytest.raises(InputError, match=f"^condition c: its {key} is not finite$"):
+            decentral.ratio_verdict("c", ratio, target)
 
 
 def test_overflowing_balance_ratio_is_not_balanced():
-    # (a0 - a1)/(a0 + a1) overflows to inf for a = [-1.5e308, 1e308].
+    # a0 - a1 overflows for a = [-1.5e308, 1e308]; halved, the ratio is 5.
     a, b = CirculantSpec([-1.5e308, 1e308]), CirculantSpec([3.0, 1.0])
-    with np.errstate(over="ignore"):
-        holds, c = circulant_pair_conditions(a, b, identity_spec(2), identity_spec(2))
-    assert (holds, c) == (False, None)
+    holds, verdicts = circulant_pair_conditions(a, b, identity_spec(2), identity_spec(2))
+    assert not holds
+    assert verdicts[0] == Verdict("dynamics_balance", False, {"ratio": 5.0, "target": 0.5})
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+HUGE = st.floats(1e307, 1.7976931348623157e308)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.one_of(FINITE, HUGE, HUGE.map(lambda x: -x)),
+       st.one_of(FINITE, HUGE, HUGE.map(lambda x: -x)))
+def test_balance_ratio_is_the_direct_formula_or_an_exact_rescaling(v0, v1):
+    assume(v0 + v1 != 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = decentral.balance_ratio(np.float64(v0), np.float64(v1), "v")
+    if np.isfinite(v0 - v1) and np.isfinite(v0 + v1):  # Python floats: no warning
+        assert np.float64(got).tobytes() == np.float64((v0 - v1) / (v0 + v1)).tobytes()
+    else:
+        w0, w1 = v0 / 4, v1 / 4  # exact for entries this large
+        want = (w0 - w1) / (w0 + w1)
+        assert np.isfinite(got)
+        assert abs(got - want) <= 4 * np.spacing(abs(want))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(st.integers(-64, 64).filter(bool), min_size=4, max_size=4),
+       st.integers(0, 1074), st.booleans())
+def test_thm1_verdicts_are_invariant_under_scaling_the_coupling(entries, k, tuned):
+    # Small integers times 2^-k stay exact down into the subnormals, and so
+    # do the products the targets form; only a sign test by product underflows.
+    a0, a1, a_m1, a2 = map(float, entries)
+    weights = (2.0, 1.0, 3.0, 1.0)
+    if tuned and (a1 < 0) != (a_m1 < 0) and (a0 < 0) == (a2 < 0):
+        member = synthesize_diagonal_cost(a0, a1, a_m1, a2)
+        weights = (member.q0, member.q2, member.gamma0, member.gamma2)
+    _, base = diagonal_cost_conditions(DiagonalCost2x2(a0, a1, a_m1, a2, *weights))
+    _, scaled = diagonal_cost_conditions(
+        DiagonalCost2x2(a0, np.ldexp(a1, -k), np.ldexp(a_m1, -k), a2, *weights))
+    assert scaled == base
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.lists(st.floats(-300, 300), min_size=4, max_size=4),
+       st.lists(st.booleans(), min_size=4, max_size=4))
+def test_synthesis_refuses_only_by_input_error_and_its_members_pass_thm1(exponents, negative):
+    entries = [-(10.0 ** e) if neg else 10.0 ** e for e, neg in zip(exponents, negative)]
+    try:
+        member = synthesize_diagonal_cost(*entries)
+    except InputError:
+        return
+    holds, verdicts = diagonal_cost_conditions(member)
+    assert holds, verdicts
 
 
 class TestDiagonalCostFamily:
@@ -619,14 +672,16 @@ class TestFindUniformGain:
 
 class TestCirculantPairConditions:
     def test_balanced_quadruple(self):
-        holds, c = circulant_pair_conditions(
+        quadruple = (
             CirculantSpec([-2.0, -1.0]),
             CirculantSpec([2.0, 1.0]),
             CirculantSpec([1.0, 0.0]),
             CirculantSpec([1.0, 0.0]),
         )
+        holds, verdicts = circulant_pair_conditions(*quadruple)
         assert holds
-        assert c == pytest.approx(SQRT2 - 1.0, abs=1e-12)
+        assert [v.name for v in verdicts] == ["dynamics_balance", "cost_balance"]
+        assert find_uniform_gain(*quadruple) == pytest.approx(SQRT2 - 1.0, abs=1e-12)
         report = oracle_check(
             circulant_lqr_problem(
                 CirculantSpec([-2.0, -1.0]),
@@ -639,23 +694,24 @@ class TestCirculantPairConditions:
         assert np.allclose(report.K, (SQRT2 - 1.0) * np.eye(2), atol=1e-6)
 
     def test_all_diagonal_matrices(self):
-        holds, c = circulant_pair_conditions(
+        quadruple = (
             CirculantSpec([-1.5, 0.0]),
             CirculantSpec([2.0, 0.0]),
             CirculantSpec([1.0, 0.0]),
             CirculantSpec([3.0, 0.0]),
         )
+        holds, _ = circulant_pair_conditions(*quadruple)
         assert holds
-        assert c is not None
+        assert find_uniform_gain(*quadruple) is not None
 
     def test_unbalanced_quadruple(self):
         a = CirculantSpec([-3.0, 1.0])
         b = CirculantSpec([3.0, 1.0])
         q = CirculantSpec([1.0, 0.0])
         r = CirculantSpec([1.0, 0.0])
-        holds, c = circulant_pair_conditions(a, b, q, r)
+        holds, _ = circulant_pair_conditions(a, b, q, r)
         assert not holds
-        assert c is None
+        assert find_uniform_gain(a, b, q, r) is None
         report = oracle_check(circulant_lqr_problem(a, b, q, r))
         assert not report.oracle_decentralized
 
@@ -674,7 +730,10 @@ class TestCirculantPairConditions:
         a = CirculantSpec([1.0, 1.0])
         b = CirculantSpec([2.0, 1.0])
         q = r = CirculantSpec([1.0, 0.0])
-        assert circulant_pair_conditions(a, b, q, r) == (False, None)
+        holds, verdicts = circulant_pair_conditions(a, b, q, r)
+        assert not holds
+        assert verdicts[0].witness == {"ratio": 0.0, "target": pytest.approx(1 / 3)}
+        assert find_uniform_gain(a, b, q, r) is None
         assert not oracle_check(circulant_lqr_problem(a, b, q, r)).oracle_decentralized
 
     def test_sign_indefinite_b_can_leave_no_shared_stabilizing_gain(self):
@@ -685,9 +744,9 @@ class TestCirculantPairConditions:
         b = CirculantSpec([1.0, 3.0])
         q = CirculantSpec([1.0, 0.0])
         r = CirculantSpec([1.0, 0.0])
-        holds, c = circulant_pair_conditions(a, b, q, r)
+        holds, _ = circulant_pair_conditions(a, b, q, r)
         assert holds
-        assert c is None
+        assert find_uniform_gain(a, b, q, r) is None
         report = oracle_check(circulant_lqr_problem(a, b, q, r))
         assert not report.oracle_decentralized
 

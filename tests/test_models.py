@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,16 @@ class TestPredatorPrey:
         with pytest.raises(InputError):
             sample_params(e=0.0)
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(b=1e200, e=1.0), dict.fromkeys(("r1", "r2", "k1", "k2", "b", "e"), 1e-300),
+         dict(r1=1e300, r2=1e300)],
+        ids=["b-squared-overflows", "sigma-underflows", "entries-overflow"],
+    )
+    def test_jacobian_beyond_the_float_range_is_refused(self, overrides):
+        with pytest.raises(InputError, match="^the predprey Jacobian leaves the float range$"):
+            predator_prey_jacobian(sample_params(**overrides))
+
 
 @pytest.mark.parametrize(
     "value", ["1.5", True, None, [1.0]], ids=["string", "boolean", "null", "list"]
@@ -150,6 +162,21 @@ class TestDiffusion:
         with pytest.raises(InputError) as info:
             build(n)
         assert str(info.value) == message
+
+    # 2/delta^2 is not a finite nonzero float beyond either end; 4/delta^2,
+    # which the decentralizing cost forms, overflows already at 1.2e-154.
+    @pytest.mark.parametrize("delta", [1e200, 1.4e154, 1e-155, 1.2e-154, 1e-200])
+    @pytest.mark.parametrize("build", [diffusion_operator, diffusion_decentralizing_cost])
+    def test_spacing_beyond_the_float_range_is_refused(self, build, delta):
+        with pytest.raises(InputError, match=re.escape(f"delta = {delta!r} puts 2/delta")):
+            build(3, delta)
+
+    @pytest.mark.parametrize("delta", [0.5, 0.7, 1.3, 2.0, 1e154, 1.5e-154])
+    def test_accepted_spacing_keeps_the_row_bitwise(self, delta):
+        row = np.array([-2.0, 1.0, 0.0, 1.0])
+        assert diffusion_operator(4, delta).first_row.tobytes() == (row / delta ** 2).tobytes()
+        q, _, _ = diffusion_decentralizing_cost(4, delta)
+        assert np.all(np.isfinite(q.first_row))
 
     def test_integral_float_site_count_accepted(self):
         assert diffusion_operator(5.0).n == 5
@@ -219,8 +246,7 @@ class TestDiffusionDecentralizingCost:
 class TestChamber:
     def test_reference_conditions(self):
         chamber = chamber_system(ChamberParams(alpha0=3.0, alpha1=1.0, beta0=3.0, beta1=1.0))
-        assert chamber.magnitude_condition
-        assert not chamber.entry_condition
+        assert [v.holds for v in chamber.conditions] == [True, False]
         assert np.array_equal(chamber.a.first_row, [-3.0, 1.0])
         assert np.array_equal(chamber.b.first_row, [3.0, 1.0])
 
@@ -237,9 +263,10 @@ class TestChamber:
             chamber_system(ChamberParams(alpha0=2.0, alpha1=2.0, beta0=3.0, beta1=1.0))
 
     def test_overflowing_entry_ratio_is_not_balanced(self):
-        # a0 - a1 = -alpha0 - alpha1 overflows, so the entry ratio is inf.
+        # a0 - a1 = -alpha0 - alpha1 overflows; halved, the entry ratio is 5.
         chamber = chamber_system(ChamberParams(alpha0=1.5e308, alpha1=1e308, beta0=3.0, beta1=1.0))
-        assert not chamber.entry_condition
+        assert not chamber.conditions[1].holds
+        assert chamber.conditions[1].witness == {"ratio": 5.0, "target": 0.5}
 
     def test_diagonal_limit_is_decentralized(self):
         # alpha1, beta1 -> 0: the circulant pair becomes diagonal and the
@@ -262,7 +289,7 @@ class TestChamber:
             chamber = chamber_system(
                 ChamberParams(alpha0=alpha0, alpha1=alpha1, beta0=beta0, beta1=beta1)
             )
-            assert not chamber.entry_condition
+            assert not chamber.conditions[1].holds
 
 
 class TestPerfExample:
