@@ -9,6 +9,7 @@ reduction). Exit status: 0 success, 1 input error, 2 solver failure.
 import argparse
 import dataclasses
 import functools
+import os
 import sys
 
 import numpy as np
@@ -40,7 +41,6 @@ def _print_verdicts(verdicts, label, out):
 
 
 def _print_report(report, out):
-    _print_verdicts(report.analytic_verdicts, "condition ", out)
     out.write(f"oracle decentralized: {_bool(report.oracle_decentralized)}\n")
     out.write(f"offdiag mass: {format_float(report.offdiag_mass)}\n")
     _print_matrix("K", report.K, out)
@@ -208,7 +208,8 @@ def _cmd_reduce(args, out):
     _print_matrix("gain_vel", solution.gain_vel, out)
     out.write(f"agreement_residual: {format_float(solution.agreement_residual)}\n")
     out.write(f"corner_asymmetry: {format_float(solution.corner_asymmetry)}\n")
-    report = check_second_order_decentral(solution)
+    report, verdicts = check_second_order_decentral(solution)
+    _print_verdicts(verdicts, "condition ", out)
     _print_report(report, out)
     return 0
 
@@ -311,7 +312,17 @@ def cli_main(argv=None, out=None):
 
 
 def main():
-    sys.exit(cli_main())
+    """cli_main on the process's streams. A reader that closes stdout early
+    (declqr ... | head) ends the run quietly with status 1; stdout then
+    points at os.devnull, so the interpreter's last flush has nowhere to fail
+    (the Python docs' "Note on SIGPIPE")."""
+    try:
+        status = cli_main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -100,13 +100,11 @@ class Verdict:
 
 @dataclass
 class DecentralReport:
-    """The numeric-oracle decision and off-pattern mass of the judged gain K,
-    and the analytic conditions judged alongside it, as Verdicts."""
+    """The numeric-oracle decision and off-pattern mass of the judged gain K."""
 
     oracle_decentralized: bool
     offdiag_mass: float
     K: np.ndarray
-    analytic_verdicts: list = field(default_factory=list)
 
 
 def oracle_check(prob):
@@ -122,11 +120,7 @@ def oracle_check(prob):
         raise InputError("single-station neighborhoods need one input per state")
     sol = solve_lqr(prob)
     decentralized, mass = pattern_decentralized(sol.K, single_station_neighborhoods(prob.n))
-    return DecentralReport(
-        oracle_decentralized=decentralized,
-        offdiag_mass=mass,
-        K=sol.K,
-    )
+    return DecentralReport(decentralized, mass, sol.K)
 
 
 def ratio_verdict(name, ratio, target):
@@ -343,10 +337,16 @@ def uniform_gain_candidates(a, b, q, r):
     scalar Riccati equation 2 Re a(k) p - |b(k)|^2 p^2 / r(k) + q(k) = 0,
     taken without cancellation (_riccati_root). This is exact for complex
     a(k), b(k) (non-symmetric A and B); Q and R must be symmetric positive
-    definite, so that q(k) and r(k) are real and positive.
+    definite, so that q(k) and r(k) are real and positive. A gain or a
+    |b(k)|^2 / r(k) beyond the float range is an InputError.
     """
     ah, bh, qh, rh = _frequency_data(a, b, q, r)
-    return np.conj(bh) * _riccati_root(ah.real, np.abs(bh) ** 2 / rh, qh) / rh
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+        g = np.abs(bh) ** 2 / rh
+        gains = np.conj(bh) * _riccati_root(ah.real, g, qh) / rh
+    if not (np.isfinite(g).all() and np.isfinite(gains).all()):
+        raise InputError("the per-frequency gains leave the float range")
+    return gains
 
 
 def find_uniform_gain(a, b, q, r):

@@ -136,10 +136,10 @@ def check_second_order_decentral(solution):
     """Judge the solved gain against neighborhoods N_i = {x_i, x'_i}.
 
     Decentralization of the 2n-column gain is equivalent to both gain blocks
-    being diagonal. The verdict is taken from the full-solve gain (the ground
-    truth); the reduced blocks' own pattern test and the reduction agreement
-    are attached as witnesses. One pattern_decentralized call judges both
-    gains; the report holds Python bools and floats.
+    being diagonal. Returns (report, verdicts): the report judges the full
+    gain (the ground truth), the verdicts the reduced blocks' own pattern test
+    and the reduction agreement. One pattern_decentralized call judges both
+    gains; both hold Python bools and floats.
     """
     reduced = np.hstack([solution.gain_pos, solution.gain_vel])
     conforms, mass = pattern_decentralized(
@@ -154,4 +154,4 @@ def check_second_order_decentral(solution):
         Verdict("reduction_matches_full_solve", agreement <= 1e-7 * scale,
                 {"agreement_residual": agreement, "corner_asymmetry": solution.corner_asymmetry}),
     ]
-    return DecentralReport(full_ok, full_mass, solution.full_gain, verdicts)
+    return DecentralReport(full_ok, full_mass, solution.full_gain), verdicts

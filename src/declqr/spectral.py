@@ -78,7 +78,8 @@ def circulant_eigenvalues(*specs):
     filled by conjugation and the kappa = n/2 bin is summed in real
     arithmetic, so values[n - k] == conj(values[k]) holds exactly. Against
     np.fft.ifft(row) * n the error stays near rounding level: about 5e-14
-    at n = 4096 for entries in [-1, 1].
+    at n = 4096 for entries in [-1, 1]. An eigenvalue beyond the float range
+    (finite entries can sum past it) is an InputError naming the spec.
     """
     if not specs:
         raise InputError("circulant_eigenvalues needs at least one CirculantSpec")
@@ -94,13 +95,18 @@ def circulant_eigenvalues(*specs):
     j = np.arange(n)
     roots = np.exp(2j * np.pi * j / n)
     vals = np.empty(rows.shape, dtype=complex)
-    for k in range(n // 2 + 1):
-        if 2 * k == n:
-            # Self-conjugate frequency: the value is sum_j row[j] (-1)^j,
-            # computed in real arithmetic so it is exactly real.
-            vals[:, k] = np.add.reduce(rows * np.where(j % 2 == 0, 1.0, -1.0), axis=-1)
-        else:
-            vals[:, k] = np.add.reduce(complex_rows * roots[j * k % n], axis=-1)
-        if 0 < k < n - k:
-            vals[:, n - k] = np.conj(vals[:, k])
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, by name
+        for k in range(n // 2 + 1):
+            if 2 * k == n:
+                # Self-conjugate frequency: the value is sum_j row[j] (-1)^j,
+                # computed in real arithmetic so it is exactly real.
+                vals[:, k] = np.add.reduce(rows * np.where(j % 2 == 0, 1.0, -1.0), axis=-1)
+            else:
+                vals[:, k] = np.add.reduce(complex_rows * roots[j * k % n], axis=-1)
+            if 0 < k < n - k:
+                vals[:, n - k] = np.conj(vals[:, k])
+    bad = np.flatnonzero(~np.isfinite(vals).all(axis=-1))
+    if bad.size:
+        where = f" (spec {bad[0] + 1} of {len(specs)})" if len(specs) > 1 else ""
+        raise InputError(f"circulant eigenvalues leave the float range{where}")
     return vals[0] if len(specs) == 1 else vals

@@ -457,6 +457,27 @@ class TestCheck:
             assert status == 2
             assert "P B R^-1 B' P is not finite in 64-bit floats" in capsys.readouterr().err
 
+    def test_thm2_on_a_spectrum_beyond_the_float_range(self, tmp_path, capsys):
+        # Every entry of Q's first row, about [1.8e308, -8.9e307, -8.9e307],
+        # is finite and Q is positive definite, but its eigenvalue
+        # q(1) = q0 - q1 overflows.
+        path = str(tmp_path / "d.json")
+        assert run_cli(["model", "diffusion", "--n", "3", "--delta", "1.5e-154",
+                        "--decentralizing-cost", "--out", path])[0] == 0
+        capsys.readouterr()
+        assert run_cli(["check", "thm2", "--system", path]) == (1, "check mode: thm2\n")
+        assert capsys.readouterr().err == (
+            "input error: circulant eigenvalues leave the float range (spec 3 of 4)\n")
+
+    def test_thm2_on_gains_beyond_the_float_range(self, tmp_path, capsys):
+        # Finite spectra, but the per-frequency root 2a overflows.
+        path = tmp_path / "nan.json"
+        e0 = CirculantSpec([1.0, 0.0])
+        save_system(circulant_document(CirculantSpec([1e308, 0.0]), e0, e0, e0), path)
+        assert run_cli(["check", "thm2", "--system", str(path)]) == (1, "check mode: thm2\n")
+        assert capsys.readouterr().err == (
+            "input error: the per-frequency gains leave the float range\n")
+
     def test_thm2_on_non_symmetric_ring(self, tmp_path):
         path = tmp_path / "ring.json"
         save_system(circulant_document(*nonsymmetric_uniform_gain_instance()), path)
@@ -870,7 +891,14 @@ class TestReduce:
         assert status == 0
         assert "gain_pos:" in text and "gain_vel:" in text
         assert "agreement_residual:" in text
-        assert "oracle decentralized: true" in text
+        # The two conditions print as check prints its own, then the oracle.
+        lines = text.splitlines()
+        start = lines.index("oracle decentralized: true") - 2
+        assert [line.split(":")[0] for line in lines[start:start + 5]] == [
+            "condition reduced_gain_blocks_diagonal",
+            "condition reduction_matches_full_solve",
+            "oracle decentralized", "offdiag mass", "K"]
+        assert lines[start].startswith("condition reduced_gain_blocks_diagonal: true  (offdiag_mass=")
 
     def test_wrong_kind_rejected(self, worked_file):
         status, _ = run_cli(["reduce", "--system", worked_file])
@@ -921,12 +949,14 @@ class TestEntryPoint:
     """python -m declqr.cli runs main(), which exits with cli_main's status."""
 
     @staticmethod
-    def run_module(*args):
+    def module_env(**overrides):
         src = os.path.dirname(os.path.dirname(os.path.abspath(declqr.__file__)))
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
+        return dict(os.environ, PYTHONPATH=path, **overrides)
+
+    def run_module(self, *args):
         return subprocess.run([sys.executable, "-m", "declqr.cli", *args],
-                              capture_output=True, text=True, env=env, timeout=120)
+                              capture_output=True, text=True, env=self.module_env(), timeout=120)
 
     def test_success_exits_zero(self):
         proc = self.run_module("model", "perf")
@@ -937,6 +967,21 @@ class TestEntryPoint:
         proc = self.run_module("solve", "--system", str(tmp_path / "missing.json"))
         assert (proc.returncode, proc.stdout) == (1, "")
         assert proc.stderr.startswith("input error: cannot read system file")
+
+    @pytest.mark.parametrize("unbuffered", ["1", ""])
+    def test_a_closed_stdout_ends_quietly_with_status_one(self, tmp_path, unbuffered):
+        # About 96 kB of output, more than a pipe holds, so the run writes to
+        # the pipe after its reader has closed it, buffered or not.
+        path = str(tmp_path / "ring.json")
+        assert run_cli(["model", "diffusion", "--n", "64", "--decentralizing-cost",
+                        "--out", path])[0] == 0
+        with subprocess.Popen([sys.executable, "-m", "declqr.cli", "check", "thm2", "--system", path],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=self.module_env(PYTHONUNBUFFERED=unbuffered)) as proc:
+            assert proc.stdout.readline() == b"check mode: thm2\n"
+            proc.stdout.close()
+            assert proc.stderr.read() == b""
+            assert proc.wait(timeout=120) == 1
 
     def test_solver_failure_exits_two(self, tmp_path):
         # The b-huge file of test_oracle_names_an_overflowing_hamiltonian.

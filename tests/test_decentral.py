@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from declqr import (
     CirculantSpec,
+    DecentralReport,
     DiagonalCost2x2,
     InputError,
     LqrProblem,
@@ -198,6 +200,11 @@ class TestOracleCheck:
         prob = LqrProblem(A=np.diag([-1.0, -2.0]), B=[[1.0], [0.5]], Q=np.eye(2), R=[[1.0]])
         with pytest.raises(InputError, match="need one input per state"):
             oracle_check(prob)
+
+    def test_the_report_holds_only_the_oracle_answer(self):
+        # Analytic conditions travel as a plain list of Verdicts beside it.
+        assert [f.name for f in dataclasses.fields(DecentralReport)] == [
+            "oracle_decentralized", "offdiag_mass", "K"]
 
 
 class TestDiagonalCostConditions:
@@ -633,6 +640,17 @@ class TestFindUniformGain:
         a, b, r = CirculantSpec([-2.0, 1.0, 1.0]), identity_spec(3), identity_spec(3)
         with pytest.raises(InputError, match="'q' must be symmetric"):
             find_uniform_gain(a, b, CirculantSpec([1e200, 1e200, 0.0]), r)
+
+    @pytest.mark.parametrize("a_row, b_row", [
+        ([1e308, 0.0], [1.0, 0.0]),  # the root 2a is inf, and b * inf gives NaN
+        ([-1.0, 0.0], [1e200, 0.0]),  # |b|^2 / r is inf, and the root rounds to 0
+    ])
+    def test_gains_beyond_the_float_range_are_refused_by_name(self, a_row, b_row):
+        # Every spectrum is finite; NaN > tol is false, so NaN gains used to
+        # pass both uniformity tests, with numpy warnings on the way.
+        e0 = CirculantSpec([1.0, 0.0])
+        with pytest.raises(InputError, match="^the per-frequency gains leave the float range$"):
+            find_uniform_gain(CirculantSpec(a_row), CirculantSpec(b_row), e0, e0)
 
     def test_indefinite_q_rejected(self):
         eye = identity_spec(4)

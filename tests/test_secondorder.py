@@ -109,7 +109,7 @@ class TestDiffusionReduction:
 
     def test_decentral_verdict(self):
         sys2, _ = diffusion_second_order(4)
-        report = check_second_order_decentral(reduce_and_solve(sys2))
+        report, _ = check_second_order_decentral(reduce_and_solve(sys2))
         assert report.oracle_decentralized
         assert report.offdiag_mass <= 1e-8
 
@@ -119,12 +119,12 @@ class TestDiffusionReduction:
             A1=sys2.A1, A2=sys2.A2, B0=sys2.B0, Q0=sys2.Q0, Q2=np.eye(4), R0=sys2.R0
         )
         sol = reduce_and_solve(broken)
-        report = check_second_order_decentral(sol)
+        report, verdicts = check_second_order_decentral(sol)
         assert not report.oracle_decentralized
         # The stacked judgment gives each gain the Python bool and float of
         # its own pattern test.
         mask = position_velocity_neighborhoods(4)
-        reduced = report.analytic_verdicts[0]
+        reduced = verdicts[0]
         for got, gain in (((report.oracle_decentralized, report.offdiag_mass), sol.full_gain),
                           ((reduced.holds, reduced.witness["offdiag_mass"]),
                            np.hstack([sol.gain_pos, sol.gain_vel]))):
@@ -135,7 +135,7 @@ class TestDiffusionReduction:
         sys2 = SecondOrderSystem(
             A1=[[-1.0]], A2=[[-1.0]], B0=[[1.0]], Q0=[[1.0]], Q2=[[1.0]], R0=[[1.0]]
         )
-        report = check_second_order_decentral(reduce_and_solve(sys2))
+        report, _ = check_second_order_decentral(reduce_and_solve(sys2))
         assert report.oracle_decentralized
 
 
@@ -182,9 +182,9 @@ class TestTwoByTwoDiagonalStages:
         sol = reduce_and_solve(self._system())
         assert sol.corner_asymmetry > 0.1
         assert sol.agreement_residual > 1e-4
-        report = check_second_order_decentral(sol)
+        report, verdicts = check_second_order_decentral(sol)
         assert not report.oracle_decentralized
-        assert [(v.name, v.holds) for v in report.analytic_verdicts] == [
+        assert [(v.name, v.holds) for v in verdicts] == [
             ("reduced_gain_blocks_diagonal", True),
             ("reduction_matches_full_solve", False),
         ]
@@ -223,7 +223,7 @@ class TestSymmetricCirculantFamily:
             qbar_spec = CirculantSpec(sol.Qbar[0])
             c2_found = find_uniform_gain(a2_spec, b0_spec, qbar_spec, r0_spec)
             assert c2_found == pytest.approx(c2, rel=1e-6)
-            report = check_second_order_decentral(sol)
+            report, _ = check_second_order_decentral(sol)
             assert report.oracle_decentralized
 
     @staticmethod

@@ -137,6 +137,15 @@ class TestStackedEigenvalues:
         with pytest.raises(InputError, match="share one size"):
             circulant_eigenvalues(identity_spec(3), identity_spec(4))
 
+    def test_a_spectrum_beyond_the_float_range_is_refused_by_name(self):
+        # Finite entries whose sum, the kappa = 0 eigenvalue, overflows; no
+        # numpy warning comes first (pytest turns warnings into errors).
+        big = CirculantSpec([1.5e308, 1e308])
+        with pytest.raises(InputError, match=r"^circulant eigenvalues leave the float range$"):
+            circulant_eigenvalues(big)
+        with pytest.raises(InputError, match=r"range \(spec 2 of 3\)$"):
+            circulant_eigenvalues(identity_spec(2), big, big)
+
 
 class TestIsCirculant:
     def test_symmetric_two_by_two(self):
